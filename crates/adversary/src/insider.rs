@@ -14,8 +14,9 @@
 //!
 //! Everything an insider sees lands in a shared [`TamperLog`]; the
 //! per-packet observer sets can then be scored with the §3.3
-//! intersection attacker ([`choke_points`]) to ask the paper's question:
-//! does any single compromised relay see *every* packet of a session?
+//! intersection attacker ([`TamperLog::choke_points`]) to ask the
+//! paper's question: does any single compromised relay see *every*
+//! packet of a session?
 
 use crate::intersection::IntersectionAttack;
 use alert_sim::{Api, DataRequest, Frame, InsiderMode, NodeId, ProtocolNode, TimerToken};
@@ -49,7 +50,10 @@ impl TamperLog {
         let mut per_packet: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
         for &(node, pid) in &self.sightings {
             if let Some(p) = pid {
-                per_packet.entry(p).or_default().insert(NodeId(node as usize));
+                per_packet
+                    .entry(p)
+                    .or_default()
+                    .insert(NodeId(node as usize));
             }
         }
         let mut attack = IntersectionAttack::new();

@@ -60,9 +60,7 @@ fn run() -> Result<ExitCode, String> {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         if a == "--dir" {
-            dir = Some(PathBuf::from(
-                it.next().ok_or("--dir needs a value")?,
-            ));
+            dir = Some(PathBuf::from(it.next().ok_or("--dir needs a value")?));
         } else {
             rest.push(a);
             rest.extend(it);
@@ -81,7 +79,11 @@ fn run() -> Result<ExitCode, String> {
         "submit" => cmd_submit(&dir, rest),
         "status" => {
             let job = job_arg(rest)?;
-            Ok(print_response(&exchange(&dir, &Request::Status { job }, None)?))
+            Ok(print_response(&exchange(
+                &dir,
+                &Request::Status { job },
+                None,
+            )?))
         }
         "result" => {
             let job = job_arg(rest)?;
@@ -92,11 +94,19 @@ fn run() -> Result<ExitCode, String> {
         "query" => cmd_query(&dir, rest),
         "cancel" => {
             let job = job_arg(rest)?;
-            Ok(print_response(&exchange(&dir, &Request::Cancel { job }, None)?))
+            Ok(print_response(&exchange(
+                &dir,
+                &Request::Cancel { job },
+                None,
+            )?))
         }
         "rollback" => {
             let job = job_arg(rest)?;
-            Ok(print_response(&exchange(&dir, &Request::Rollback { job }, None)?))
+            Ok(print_response(&exchange(
+                &dir,
+                &Request::Rollback { job },
+                None,
+            )?))
         }
         "health" => Ok(print_response(&exchange(&dir, &Request::Health, None)?)),
         // Drain blocks server-side until every job settles: no client

@@ -17,7 +17,7 @@
 //! {"rec":"rollback","fp":"00ab…","version":1}
 //! ```
 //!
-//! Recovery is a fold over the lines in order ([`JobJournal::replay`]):
+//! Recovery is a fold over the lines in order ([`JobJournal::open`]):
 //! the last record wins, a `submit` with no later terminal record is
 //! pending work, and a `lease` with no later terminal record marks an
 //! orphan the dead process never finished (reported, then simply
@@ -455,10 +455,7 @@ mod tests {
 
         let (j2, jobs) = JobJournal::open(&dir).unwrap();
         assert_eq!(j2.records(), 6);
-        assert_eq!(
-            jobs[&a.fingerprint()].state,
-            JobState::Done { version: 1 }
-        );
+        assert_eq!(jobs[&a.fingerprint()].state, JobState::Done { version: 1 });
         assert!(!jobs[&a.fingerprint()].orphaned);
         assert_eq!(jobs[&b.fingerprint()].state, JobState::Pending);
         assert!(jobs[&b.fingerprint()].orphaned, "lease with no terminal");
@@ -520,11 +517,26 @@ mod tests {
         };
         let error = "run aborted: \"quote\" back\\slash\nnewline\u{1}ctl".to_owned();
         let expected = BTreeMap::from([
-            (0x1078_0046_7998_e1eb, job(&cancelled, JobState::Cancelled, false, false)),
-            (0x1248_42e5_f1be_7f19, job(&base, JobState::Done { version: 1 }, true, false)),
-            (0x5bde_9ac8_537c_fa39, job(&orphan, JobState::Pending, false, true)),
-            (0x792c_5da0_27d5_feee, job(&failed, JobState::Failed { error }, false, false)),
-            (0x7fba_21d5_9796_6e0c, job(&pending, JobState::Pending, false, false)),
+            (
+                0x1078_0046_7998_e1eb,
+                job(&cancelled, JobState::Cancelled, false, false),
+            ),
+            (
+                0x1248_42e5_f1be_7f19,
+                job(&base, JobState::Done { version: 1 }, true, false),
+            ),
+            (
+                0x5bde_9ac8_537c_fa39,
+                job(&orphan, JobState::Pending, false, true),
+            ),
+            (
+                0x792c_5da0_27d5_feee,
+                job(&failed, JobState::Failed { error }, false, false),
+            ),
+            (
+                0x7fba_21d5_9796_6e0c,
+                job(&pending, JobState::Pending, false, false),
+            ),
             (
                 0x895c_1916_d53a_740b,
                 job(

@@ -379,10 +379,8 @@ impl Response {
             _ => None,
         })?;
         if ok != 0 {
-            let payload: Vec<(String, Val)> = fields
-                .into_iter()
-                .filter(|(k, _)| k != "ok")
-                .collect();
+            let payload: Vec<(String, Val)> =
+                fields.into_iter().filter(|(k, _)| k != "ok").collect();
             return Some(Response::Ok(payload));
         }
         let mut kind = None;

@@ -27,8 +27,8 @@ use crate::protocol::{ErrorKind, QueryRequest, Request, Response};
 use crate::spec::{run_job, JobSpec};
 use crate::store::ResultStore;
 use crate::supervisor::{supervise, SupervisorOptions};
-use alert_bench::{run_pool, write_atomic, DirLock, LockError, PoolOptions, WorkUnit};
 use alert_bench::UnitOutcome;
+use alert_bench::{run_pool, write_atomic, DirLock, LockError, PoolOptions, WorkUnit};
 use alert_sim::{
     filter_events, follow_packet, parse_trace, render_events_csv, render_events_jsonl,
     render_windows_csv, render_windows_json, window_aggregates, EventFilter, MetricsTimeseries,
@@ -196,7 +196,10 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
     let store = ResultStore::open(&config.dir)?;
     let swept = store.sweep_stage()?;
     if swept > 0 {
-        println!("[alertd] swept {swept} dead staging entr{}", plural_y(swept));
+        println!(
+            "[alertd] swept {swept} dead staging entr{}",
+            plural_y(swept)
+        );
     }
     let mut inner = Inner {
         jobs: BTreeMap::new(),
@@ -767,7 +770,10 @@ fn handle_health(shared: &Shared) -> Response {
     }
     counters.insert("daemon.journal_lag".into(), lag);
     counters.insert("daemon.requests".into(), inner.requests);
-    counters.insert("daemon.worker_restarts".into(), u64::from(inner.worker_restarts));
+    counters.insert(
+        "daemon.worker_restarts".into(),
+        u64::from(inner.worker_restarts),
+    );
     counters.insert("pool.leases".into(), inner.pool.leases);
     counters.insert("pool.lease_expired".into(), inner.pool.lease_expired);
     counters.insert("pool.retries".into(), inner.pool.retries);
@@ -790,7 +796,14 @@ fn handle_health(shared: &Shared) -> Response {
         .with_num("queue_cap", shared.config.queue_cap)
         .with_num("workers", shared.config.jobs)
         .with_num("draining", u8::from(inner.draining));
-    for state in ["pending", "running", "done", "failed", "cancelled", "quarantined"] {
+    for state in [
+        "pending",
+        "running",
+        "done",
+        "failed",
+        "cancelled",
+        "quarantined",
+    ] {
         resp = resp.with_num(
             &format!("jobs_{state}"),
             by_state.get(state).copied().unwrap_or(0),

@@ -301,12 +301,20 @@ fn render_metrics_json(
     profile: &alert_sim::RunProfile,
     registry: &alert_sim::RegistrySnapshot,
 ) -> String {
-    let delivered = m.packets.iter().filter(|p| p.delivered_at.is_some()).count();
+    let delivered = m
+        .packets
+        .iter()
+        .filter(|p| p.delivered_at.is_some())
+        .count();
     let latency_ms = match m.mean_latency() {
         Some(l) if l.is_finite() => format!("{:?}", l * 1000.0),
         _ => "null".to_owned(),
     };
-    let drops: Vec<String> = m.drops.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    let drops: Vec<String> = m
+        .drops
+        .iter()
+        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .collect();
     let mut s = String::from("{\"schema\":\"alertd-result/1\",");
     s.push_str("\"job\":");
     push_str_escaped(&mut s, &spec.fp_hex());

@@ -117,10 +117,7 @@ impl ResultStore {
             }
         }
         let next = versions.last().copied().unwrap_or(0) + 1;
-        let stage = self
-            .root
-            .join(STAGE_DIR)
-            .join(format!("{fp:016x}-v{next}"));
+        let stage = self.root.join(STAGE_DIR).join(format!("{fp:016x}-v{next}"));
         if stage.exists() {
             fs::remove_dir_all(&stage)?;
         }
@@ -207,10 +204,7 @@ impl ResultStore {
     }
 
     fn set_current(&self, fp: u64, version: u32) -> io::Result<()> {
-        write_atomic(
-            &self.job_dir(fp).join("CURRENT"),
-            &format!("v{version}\n"),
-        )
+        write_atomic(&self.job_dir(fp).join("CURRENT"), &format!("v{version}\n"))
     }
 }
 

@@ -3,28 +3,19 @@
 //! a restart converges on byte-identical `results/`, admission refuses
 //! with exit 2 when the queue is full, a second live daemon on the same
 //! directory exits 2 with a pid diagnostic, and a drain exits 0 with
-//! every admitted job settled.
-//!
-//! Under `cargo test` the binary paths come from `CARGO_BIN_EXE_*`;
-//! standalone harnesses (the offline check scripts) point `ALERTD_BIN`
-//! and `ALERTCTL_BIN` at prebuilt binaries instead.
+//! every admitted job settled. The binaries are found through
+//! `CARGO_BIN_EXE_*`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-fn alertd_bin() -> Option<PathBuf> {
-    if let Some(p) = option_env!("CARGO_BIN_EXE_alertd") {
-        return Some(PathBuf::from(p));
-    }
-    std::env::var_os("ALERTD_BIN").map(PathBuf::from)
+fn alertd_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_alertd"))
 }
 
-fn alertctl_bin() -> Option<PathBuf> {
-    if let Some(p) = option_env!("CARGO_BIN_EXE_alertctl") {
-        return Some(PathBuf::from(p));
-    }
-    std::env::var_os("ALERTCTL_BIN").map(PathBuf::from)
+fn alertctl_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_alertctl"))
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -52,7 +43,10 @@ fn wait_for_endpoint(dir: &Path) {
     let endpoint = dir.join("alertd.endpoint");
     let deadline = Instant::now() + Duration::from_secs(60);
     while !endpoint.exists() {
-        assert!(Instant::now() < deadline, "daemon never advertised an endpoint");
+        assert!(
+            Instant::now() < deadline,
+            "daemon never advertised an endpoint"
+        );
         std::thread::sleep(Duration::from_millis(25));
     }
 }
@@ -68,7 +62,16 @@ fn ctl(bin: &Path, dir: &Path, args: &[&str]) -> Output {
 
 fn submit_args(seed: &str) -> Vec<&str> {
     vec![
-        "submit", "--nodes", "50", "--pairs", "2", "--duration", "12", "--seed", seed, "--trace",
+        "submit",
+        "--nodes",
+        "50",
+        "--pairs",
+        "2",
+        "--duration",
+        "12",
+        "--seed",
+        seed,
+        "--trace",
     ]
 }
 
@@ -77,7 +80,12 @@ fn snapshot_results(dir: &Path) -> Vec<(String, Vec<u8>)> {
     fn walk(root: &Path, at: &Path, out: &mut Vec<(String, Vec<u8>)>) {
         for entry in std::fs::read_dir(at).expect("read_dir").flatten() {
             let path = entry.path();
-            let rel = path.strip_prefix(root).unwrap().to_str().unwrap().to_owned();
+            let rel = path
+                .strip_prefix(root)
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .to_owned();
             if path.is_dir() {
                 walk(root, &path, out);
             } else {
@@ -110,10 +118,7 @@ fn count_journal(dir: &Path, rec: &str) -> usize {
 /// both must agree on anyway).
 #[test]
 fn kill_nine_mid_campaign_recovers_byte_identical_results() {
-    let (Some(daemon), Some(ctl_bin)) = (alertd_bin(), alertctl_bin()) else {
-        eprintln!("skipping: daemon binaries unavailable");
-        return;
-    };
+    let (daemon, ctl_bin) = (alertd_bin(), alertctl_bin());
     let seeds = ["101", "102", "103"];
 
     // --- Reference: uninterrupted run. -------------------------------
@@ -122,10 +127,18 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
     wait_for_endpoint(&ref_dir);
     for seed in &seeds {
         let out = ctl(&ctl_bin, &ref_dir, &submit_args(seed));
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     let out = ctl(&ctl_bin, &ref_dir, &["drain"]);
-    assert!(out.status.success(), "drain: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "drain: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(d.wait().expect("wait").success(), "clean daemon exit");
     let reference = snapshot_results(&ref_dir);
     assert!(!reference.is_empty(), "reference produced artifacts");
@@ -136,7 +149,11 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
     wait_for_endpoint(&crash_dir);
     for seed in &seeds {
         let out = ctl(&ctl_bin, &crash_dir, &submit_args(seed));
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     // Wait until the journal shows at least one lease (a job is
     // actually executing), then SIGKILL with no warning whatsoever.
@@ -162,7 +179,11 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
     // duplicate work (exactly-once-effective by fingerprint).
     for seed in &seeds {
         let out = ctl(&ctl_bin, &crash_dir, &submit_args(seed));
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     let out = ctl(&ctl_bin, &crash_dir, &["drain"]);
     assert!(out.status.success(), "drain after recovery");
@@ -198,10 +219,7 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
 /// deterministically.
 #[test]
 fn busy_queue_and_second_daemon_both_exit_two() {
-    let (Some(daemon), Some(ctl_bin)) = (alertd_bin(), alertctl_bin()) else {
-        eprintln!("skipping: daemon binaries unavailable");
-        return;
-    };
+    let (daemon, ctl_bin) = (alertd_bin(), alertctl_bin());
     let dir = scratch_dir("busy");
 
     // --- Phase 1: admission closed — every submit is busy, exit 2. ---
@@ -210,7 +228,15 @@ fn busy_queue_and_second_daemon_both_exit_two() {
     let out = ctl(
         &ctl_bin,
         &dir,
-        &["submit", "--nodes", "20", "--duration", "2", "--seed", "203"],
+        &[
+            "submit",
+            "--nodes",
+            "20",
+            "--duration",
+            "2",
+            "--seed",
+            "203",
+        ],
     );
     assert_eq!(out.status.code(), Some(2), "busy must exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
@@ -233,7 +259,11 @@ fn busy_queue_and_second_daemon_both_exit_two() {
 
     // Draining the closed daemon exits 0 with nothing to settle.
     let out = ctl(&ctl_bin, &dir, &["drain"]);
-    assert!(out.status.success(), "drain: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "drain: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"drained\":1"), "{stdout}");
     assert!(d.wait().expect("wait").success(), "drained daemon exits 0");
@@ -245,12 +275,30 @@ fn busy_queue_and_second_daemon_both_exit_two() {
         let out = ctl(
             &ctl_bin,
             &dir,
-            &["submit", "--nodes", "40", "--pairs", "2", "--duration", "8", "--seed", seed],
+            &[
+                "submit",
+                "--nodes",
+                "40",
+                "--pairs",
+                "2",
+                "--duration",
+                "8",
+                "--seed",
+                seed,
+            ],
         );
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     let out = ctl(&ctl_bin, &dir, &["drain"]);
-    assert!(out.status.success(), "drain: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "drain: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"drained\":1"), "{stdout}");
     assert!(d.wait().expect("wait").success(), "drained daemon exits 0");

@@ -144,7 +144,9 @@ fn main() {
             "--placement" => {
                 placement_flag = Some(
                     it.next()
-                        .unwrap_or_else(|| die("--placement needs uniform|convoy|teams:SIZE[:SPREAD]"))
+                        .unwrap_or_else(|| {
+                            die("--placement needs uniform|convoy|teams:SIZE[:SPREAD]")
+                        })
                         .clone(),
                 );
             }

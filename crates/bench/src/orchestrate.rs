@@ -615,9 +615,8 @@ fn pid_alive_kill0(pid: u32) -> bool {
 // Failure report
 // ---------------------------------------------------------------------
 
-/// One quarantined run in the failure report: a
-/// [`FailureRecord`](crate::runner::FailureRecord) plus the experiment
-/// it happened under.
+/// One quarantined run in the failure report: a [`FailureRecord`] plus
+/// the experiment it happened under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureEntry {
     /// Experiment name the run belonged to.

@@ -1061,7 +1061,9 @@ mod tests {
         assert_ne!(ids[0], ids[1]);
         set_failure_scope(0);
         assert_eq!(drain_failures_scoped(201).len(), 2);
-        assert!(drain_failures_scoped(0).iter().all(|r| r.protocol != "lane"));
+        assert!(drain_failures_scoped(0)
+            .iter()
+            .all(|r| r.protocol != "lane"));
 
         // A panic on a spawned lane propagates out with its payload.
         let caller = std::thread::current().id();

@@ -1,42 +1,22 @@
 //! Integration tests of the command-line tools, run as real
-//! subprocesses.
-//!
-//! Under `cargo test` the binary paths come from `CARGO_BIN_EXE_*`;
-//! standalone harnesses (the offline check scripts) point `REPRO_BIN`,
-//! `SIMRUN_BIN` and `TRACEQUERY_BIN` at prebuilt binaries instead.
+//! subprocesses found through `CARGO_BIN_EXE_*`.
 
-use std::path::PathBuf;
 use std::process::Command;
 
-/// This package's directory: cargo's, or the path from the repository
-/// root, where standalone harnesses run their tests.
-const CRATE_DIR: &str = match option_env!("CARGO_MANIFEST_DIR") {
-    Some(dir) => dir,
-    None => "crates/bench",
-};
-
-fn command(cargo_path: Option<&str>, var: &str) -> Command {
-    let path = cargo_path
-        .map(PathBuf::from)
-        .or_else(|| std::env::var_os(var).map(PathBuf::from))
-        .unwrap_or_else(|| panic!("no binary: not under cargo and {var} is unset"));
-    Command::new(path)
-}
-
 fn repro() -> Command {
-    command(option_env!("CARGO_BIN_EXE_repro"), "REPRO_BIN")
+    Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
 fn simrun() -> Command {
-    command(option_env!("CARGO_BIN_EXE_simrun"), "SIMRUN_BIN")
+    Command::new(env!("CARGO_BIN_EXE_simrun"))
 }
 
 fn tracequery() -> Command {
-    command(option_env!("CARGO_BIN_EXE_tracequery"), "TRACEQUERY_BIN")
+    Command::new(env!("CARGO_BIN_EXE_tracequery"))
 }
 
 fn fixture(name: &str) -> String {
-    format!("{CRATE_DIR}/tests/fixtures/{name}")
+    format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
 #[test]

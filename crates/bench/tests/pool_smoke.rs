@@ -3,19 +3,12 @@
 //! to serial output, a kill -9'd run resumes with no lost or duplicated
 //! points, orphaned leases are reported and reclaimed, and the advisory
 //! directory lock keeps a second orchestrator out.
-//!
-//! Under `cargo test` the binary path comes from `CARGO_BIN_EXE_repro`;
-//! standalone harnesses (the offline check scripts) point `REPRO_BIN`
-//! at a prebuilt binary instead.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn repro_bin() -> Option<PathBuf> {
-    if let Some(p) = option_env!("CARGO_BIN_EXE_repro") {
-        return Some(PathBuf::from(p));
-    }
-    std::env::var_os("REPRO_BIN").map(PathBuf::from)
+fn repro_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_repro"))
 }
 
 fn repro(bin: &PathBuf, args: &[&str]) -> Output {
@@ -48,10 +41,7 @@ fn run_campaign(bin: &PathBuf, dir: &PathBuf, jobs: &str, extra: &[&str]) -> Out
 
 #[test]
 fn parallel_campaign_is_byte_identical_to_serial() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let serial = scratch_dir("serial");
     let parallel = scratch_dir("parallel");
     let a = run_campaign(&bin, &serial, "1", &[]);
@@ -91,10 +81,7 @@ fn parallel_campaign_is_byte_identical_to_serial() {
 
 #[test]
 fn killed_parallel_run_resumes_with_no_lost_or_duplicated_points() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let clean = scratch_dir("kill_clean");
     let out = run_campaign(&bin, &clean, "1", &[]);
     assert!(out.status.success(), "{}", stderr_of(&out));
@@ -139,10 +126,7 @@ fn killed_parallel_run_resumes_with_no_lost_or_duplicated_points() {
 
 #[test]
 fn orphaned_lease_is_reported_and_reclaimed_on_resume() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let dir = scratch_dir("orphan");
     let out = repro(
         &bin,
@@ -190,10 +174,7 @@ fn orphaned_lease_is_reported_and_reclaimed_on_resume() {
 
 #[test]
 fn live_lock_holder_excludes_a_second_orchestrator() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let dir = scratch_dir("lock_live");
     std::fs::create_dir_all(&dir).unwrap();
     // PID 1 is always alive on Linux; the lock reads as held by a live
@@ -218,10 +199,7 @@ fn live_lock_holder_excludes_a_second_orchestrator() {
 
 #[test]
 fn stale_lock_is_stolen_and_released() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let dir = scratch_dir("lock_stale");
     std::fs::create_dir_all(&dir).unwrap();
     // Far above any real pid_max: the previous owner is provably dead.

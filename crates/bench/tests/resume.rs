@@ -3,18 +3,14 @@
 //! CSVs to an uninterrupted one, fingerprint mismatches force re-runs,
 //! and planted failures are quarantined without sinking the campaign.
 //!
-//! Runs `repro` as a real subprocess. Under `cargo test` the path comes
-//! from `CARGO_BIN_EXE_repro`; standalone harnesses (the offline check
-//! scripts) can point `REPRO_BIN` at a prebuilt binary instead.
+//! Runs `repro` as a real subprocess, found through
+//! `CARGO_BIN_EXE_repro`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn repro_bin() -> Option<PathBuf> {
-    if let Some(p) = option_env!("CARGO_BIN_EXE_repro") {
-        return Some(PathBuf::from(p));
-    }
-    std::env::var_os("REPRO_BIN").map(PathBuf::from)
+fn repro_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_repro"))
 }
 
 /// Runs `repro` with `args`; panics on spawn failure, returns the
@@ -42,10 +38,7 @@ const CAMPAIGN: [&str; 3] = ["fig7a", "fig9a", "fig9b"];
 
 #[test]
 fn interrupted_campaign_resumes_to_identical_csvs() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     // Reference: the campaign in one uninterrupted pass.
     let clean = scratch_dir("clean");
     let out = repro(
@@ -114,10 +107,7 @@ fn interrupted_campaign_resumes_to_identical_csvs() {
 
 #[test]
 fn fingerprint_mismatch_forces_rerun() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let dir = scratch_dir("fingerprint");
     let out = repro(
         &bin,
@@ -156,10 +146,7 @@ fn fingerprint_mismatch_forces_rerun() {
 
 #[test]
 fn resume_requires_csv() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let out = repro(&bin, &["fig7a", "--resume"]);
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
     assert!(stderr_of(&out).contains("--resume requires --csv"));
@@ -167,10 +154,7 @@ fn resume_requires_csv() {
 
 #[test]
 fn unknown_experiment_fails_before_any_work() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let dir = scratch_dir("unknown");
     let out = repro(
         &bin,
@@ -191,10 +175,7 @@ fn unknown_experiment_fails_before_any_work() {
 
 #[test]
 fn planted_panic_point_is_quarantined_not_fatal() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let dir = scratch_dir("quarantine");
     // The hidden __panic-point drill plants a panicking sweep point;
     // fig7a after it must still run to completion.
@@ -252,10 +233,7 @@ fn planted_panic_point_is_quarantined_not_fatal() {
 
 #[test]
 fn experiment_level_panic_does_not_sink_the_campaign() {
-    let Some(bin) = repro_bin() else {
-        eprintln!("skipping: repro binary unavailable");
-        return;
-    };
+    let bin = repro_bin();
     let dir = scratch_dir("exp_panic");
     let out = repro(
         &bin,

@@ -2,7 +2,7 @@
 //!
 //! The cryptographic substrate of the ALERT reproduction:
 //!
-//! * [`sha1`] — SHA-1 from scratch (pseudonym hashing, Section 2.2);
+//! * [`sha1`](mod@sha1) — SHA-1 from scratch (pseudonym hashing, Section 2.2);
 //! * [`cipher`] — a functional SHA-1-CTR stream cipher standing in for the
 //!   paper's AES symmetric data path (Section 2.5);
 //! * [`aes`] — real AES-128 with CTR mode (FIPS-197 / SP 800-38A test

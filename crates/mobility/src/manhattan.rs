@@ -120,7 +120,12 @@ impl ManhattanGrid {
         for _ in 0..n {
             let horizontal = rng.gen_bool(0.5);
             let (a, lanes, lo, hi) = if horizontal {
-                (Axis::Horizontal, config.h_streets, bounds.min.x, bounds.max.x)
+                (
+                    Axis::Horizontal,
+                    config.h_streets,
+                    bounds.min.x,
+                    bounds.max.x,
+                )
             } else {
                 (Axis::Vertical, config.v_streets, bounds.min.y, bounds.max.y)
             };

@@ -305,14 +305,16 @@ impl Placement {
                 Some(
                     (0..nodes)
                         .map(|i| {
-                            let x =
-                                field.min.x + field.width() * i as f64 / nodes.max(1) as f64;
+                            let x = field.min.x + field.width() * i as f64 / nodes.max(1) as f64;
                             Point::new(x, y)
                         })
                         .collect(),
                 )
             }
-            Placement::SmallTeams { team_size, spread_m } => {
+            Placement::SmallTeams {
+                team_size,
+                spread_m,
+            } => {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x7EA3_5EED);
                 let team_size = team_size.max(1);
                 let mut center = Point::ORIGIN;
@@ -908,7 +910,11 @@ impl ScenarioConfig {
                 return Err(ScenarioError::InvalidSpeedClasses(speed_classes));
             }
         }
-        if let Placement::SmallTeams { team_size, spread_m } = self.placement {
+        if let Placement::SmallTeams {
+            team_size,
+            spread_m,
+        } = self.placement
+        {
             if team_size == 0 {
                 return Err(ScenarioError::InvalidTeamSize(team_size));
             }
@@ -955,7 +961,9 @@ impl ScenarioConfig {
             });
         }
         if !self.insiders.fraction.is_finite() || !(0.0..=1.0).contains(&self.insiders.fraction) {
-            return Err(ScenarioError::InvalidInsiderFraction(self.insiders.fraction));
+            return Err(ScenarioError::InvalidInsiderFraction(
+                self.insiders.fraction,
+            ));
         }
         self.faults.validate(self.nodes)?;
         self.budget.validate()?;
@@ -1188,14 +1196,20 @@ mod tests {
             turn_prob: 0.5,
             speed_classes: 1,
         });
-        assert_eq!(c.validate(), Err(ScenarioError::InvalidStreets { h: 0, v: 3 }));
+        assert_eq!(
+            c.validate(),
+            Err(ScenarioError::InvalidStreets { h: 0, v: 3 })
+        );
         let c = ScenarioConfig::default().with_mobility(MobilityKind::ManhattanGrid {
             h_streets: 2,
             v_streets: 2,
             turn_prob: 1.5,
             speed_classes: 1,
         });
-        assert_eq!(c.validate(), Err(ScenarioError::InvalidTurnProbability(1.5)));
+        assert_eq!(
+            c.validate(),
+            Err(ScenarioError::InvalidTurnProbability(1.5))
+        );
         let c = ScenarioConfig::default().with_mobility(MobilityKind::ManhattanGrid {
             h_streets: 2,
             v_streets: 2,
@@ -1240,7 +1254,10 @@ mod tests {
             })
         ));
         let c = ScenarioConfig::default().with_insiders(2.0, InsiderMode::Drop);
-        assert_eq!(c.validate(), Err(ScenarioError::InvalidInsiderFraction(2.0)));
+        assert_eq!(
+            c.validate(),
+            Err(ScenarioError::InvalidInsiderFraction(2.0))
+        );
         // Zero-energy start is legal: the dead-on-arrival corner.
         assert!(ScenarioConfig::default()
             .with_energy_budget(0.0)

@@ -4,43 +4,28 @@
 //! order they were scheduled (FIFO tie-break by sequence number), so a run
 //! is a pure function of the scenario and seed.
 //!
-//! # Calendar/ladder structure
+//! The future event list is one `std::collections::BinaryHeap` of 24-byte
+//! `(time, seq, slot)` keys; the payloads live in a slot arena beside it,
+//! so a sift moves only keys however large the event type is. Keys are
+//! compared by `f64::total_cmp(time)` and then `seq`, and the order is
+//! reversed so that the max-heap pops the earliest key first. `schedule`
+//! rejects non-finite times and normalizes `-0.0` to `+0.0`, so
+//! `total_cmp` agrees with numeric order on every admitted time and the
+//! pop order is exactly the strict `(time, seq)` order.
 //!
-//! The FEL is a calendar queue (Brown 1988, the ns-2 lineage): a "year" of
-//! `days.len()` equal-width day buckets covering `[year_base, year_base +
-//! days.len() * width)`, plus an unsorted `overflow` ladder for events past
-//! the end of the year. Each day bucket is a small binary min-heap over the
-//! 24-byte `(time, seq, slot)` keys, so same-instant bursts inside one day
-//! still resolve in `O(log k)` for a bucket of `k` — and `k` stays small
-//! because the retune policy sizes `width` to the mean gap between pending
-//! events. `schedule` is O(1) amortized (bucket push + occasional geometric
-//! retune); `pop` is O(1) amortized (bucket pop + cursor walk over empty
-//! days, paid at most once per day per year).
-//!
-//! The day width is tuned to the *mean* gap, but the sim's event times
-//! are bimodal: sparse half-second protocol timers and millisecond-scale
-//! frame fan-outs from the same hello round. When the fan-out piles one
-//! day's heap past [`FAT_BUCKET`], `pop` splits that day into a finer
-//! sub-calendar covering just its span (a ladder-queue rung); inserts and
-//! cancels for the split day route into the sub-buckets until they drain.
-//! That keeps every heap small under both modes without global retunes.
-//!
-//! Determinism survives the swap from the old `BinaryHeap<Scheduled>`:
-//! day buckets partition the time axis into disjoint, monotonically
-//! increasing ranges (the sub-calendar only refines one day's partition
-//! further), and within a bucket keys are min-heap ordered by
-//! `(f64::total_cmp(time), seq)`. Since `schedule` rejects NaN and
-//! normalizes `-0.0` to `+0.0`, `total_cmp` agrees with numeric order on
-//! every admitted timestamp, so the global pop order is exactly the strict
-//! `(time, seq)` order the heap produced — byte-identical traces.
+//! A heap is enough because the list stays shallow: the runtime files one
+//! entry per broadcast frame, not one per receiver, so it holds a few
+//! hundred events on the paper scenarios and under a hundred at 100k
+//! nodes (`fel_high_water` in the run profile). At that depth a heap
+//! operation is a handful of key swaps. A calendar queue ran only
+//! 1.00-1.07x as fast as this heap at 100 to 300 nodes even when one
+//! entry per receiver made the list 10k deep.
 
-/// A pending key: `(time, seq, slot)`, min-ordered by time then seq.
-///
-/// The payload itself lives in the queue's slot arena, not in the buckets:
-/// sift operations during bucket push/pop move only this 24-byte key, so
-/// the cost of reordering a bucket is independent of the event type's size
-/// (protocol messages riding in `Deliver`/`Retry` events can be hundreds
-/// of bytes). `slot` takes no part in the ordering — `seq` is unique.
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
+/// A pending key: `(time, seq, slot)`. `slot` indexes the payload arena
+/// and takes no part in the ordering — `seq` is unique.
 #[derive(Clone, Copy, Debug)]
 struct Key {
     time: f64,
@@ -48,141 +33,36 @@ struct Key {
     slot: u32,
 }
 
-/// Strict total order: `(time, seq)` ascending, times via `total_cmp`.
+/// Strict total order on `(time, seq)`, reversed: the key that must pop
+/// first compares greatest.
 ///
 /// `total_cmp` (not `partial_cmp(..).unwrap_or(Equal)`) means a NaN that
 /// somehow slipped past the schedule-time guard would still be *totally*
 /// ordered — it sorts deterministically instead of silently corrupting
-/// the bucket-heap invariants and with them the FIFO determinism
-/// contract. The schedule-time NaN rejection stays in place regardless.
-fn key_lt(a: &Key, b: &Key) -> bool {
-    match a.time.total_cmp(&b.time) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.seq < b.seq,
+/// the heap invariants and with them the FIFO determinism contract. The
+/// schedule-time NaN rejection stays in place regardless.
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .total_cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-fn sift_up(heap: &mut [Key], mut i: usize) {
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if key_lt(&heap[i], &heap[parent]) {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
-fn sift_down(heap: &mut [Key], mut i: usize) {
-    loop {
-        let l = 2 * i + 1;
-        if l >= heap.len() {
-            break;
-        }
-        let r = l + 1;
-        let child = if r < heap.len() && key_lt(&heap[r], &heap[l]) {
-            r
-        } else {
-            l
-        };
-        if key_lt(&heap[child], &heap[i]) {
-            heap.swap(i, child);
-            i = child;
-        } else {
-            break;
-        }
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
 
-fn bucket_push(heap: &mut Vec<Key>, k: Key) {
-    heap.push(k);
-    let last = heap.len() - 1;
-    sift_up(heap, last);
-}
-
-fn bucket_pop(heap: &mut Vec<Key>) -> Option<Key> {
-    let last = heap.len().checked_sub(1)?;
-    heap.swap(0, last);
-    let k = heap.pop().expect("non-empty after len check");
-    if !heap.is_empty() {
-        sift_down(heap, 0);
-    }
-    Some(k)
-}
-
-/// Removes the key with sequence number `seq`, restoring the heap.
-fn bucket_remove_seq(heap: &mut Vec<Key>, seq: u64) -> Option<Key> {
-    let i = heap.iter().position(|k| k.seq == seq)?;
-    let last = heap.len() - 1;
-    heap.swap(i, last);
-    let k = heap.pop().expect("non-empty after position hit");
-    if i < heap.len() {
-        sift_down(heap, i);
-        sift_up(heap, i);
-    }
-    Some(k)
-}
-
-/// Handle to a scheduled event, returned by [`EventQueue::schedule`] and
-/// accepted by [`EventQueue::cancel`]. Copyable and cheap; a handle whose
-/// event already fired (or was already cancelled) simply fails to cancel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventId {
-    seq: u64,
-    slot: u32,
-    /// The (clamped) timestamp the event was filed under — lets `cancel`
-    /// locate the owning day bucket without a search over the whole year.
-    time_bits: u64,
-}
-
-impl EventId {
-    fn time(&self) -> f64 {
-        f64::from_bits(self.time_bits)
-    }
-}
-
-/// Fewest day buckets the calendar will use.
-const MIN_DAYS: usize = 64;
-/// Most day buckets; past this, buckets grow instead (still heaps, so
-/// per-op cost degrades only logarithmically in bucket size).
-const MAX_DAYS: usize = 1 << 15;
-/// Bucket width clamp, seconds per day.
-const MIN_WIDTH: f64 = 1e-9;
-const MAX_WIDTH: f64 = 60.0;
-/// Day-bucket occupancy past which the cursor day is split into a
-/// sub-calendar on the next pop. Below this, a single bucket heap pops
-/// in ~log2(len) < 8 swaps of 24-byte keys — cheaper than paying a
-/// split's scatter plus the empty-sub-bucket walks it implies.
-const FAT_BUCKET: usize = 128;
-/// Most sub-buckets a split spreads a day over.
-const SUB_MAX_BUCKETS: usize = 1 << 15;
-
-/// A split day: when the cursor day's heap grows past [`FAT_BUCKET`]
-/// (events much denser than the day width — a hello round's frame
-/// fan-out landing inside one day), its keys are scattered over a finer
-/// bucket array covering just that day, ladder-queue style. While a
-/// split is active the owning day's heap stays empty: every insert into
-/// that day routes to the sub-calendar instead, so the day's keys live
-/// in exactly one place and the pop order is untouched — the split only
-/// refines the partition of one day's time range.
-#[derive(Clone, Copy, Debug)]
-struct SubMeta {
-    /// The day this sub-calendar replaces.
-    day: usize,
-    /// Earliest key time at split; sub-bucket 0 also absorbs anything
-    /// below it (a past-clamped insert), mirroring day 0 of the year.
-    start: f64,
-    /// Seconds per sub-bucket.
-    width: f64,
-    /// Number of `sub_buckets` in use for this split.
-    nbuckets: usize,
-    /// Lower bound on the first non-empty sub-bucket.
-    cursor: usize,
-    /// Pending keys in the sub-calendar.
-    len: usize,
-}
+impl Eq for Key {}
 
 /// A deterministic future event list.
 ///
@@ -198,39 +78,14 @@ struct SubMeta {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Day buckets, each a binary min-heap of keys; day `d` covers
-    /// `[year_base + d*width, year_base + (d+1)*width)` (day 0 also
-    /// absorbs any stragglers below `year_base`, which stay correctly
-    /// ordered because they are smaller than everything else).
-    days: Vec<Vec<Key>>,
-    /// Events at or past the end of the current year, unsorted; they are
-    /// redistributed into day buckets when the year rolls forward.
-    overflow: Vec<Key>,
-    /// Seconds per day bucket.
-    width: f64,
-    /// Start time of day 0.
-    year_base: f64,
-    /// Lower bound on the first non-empty day; when events are pending,
-    /// `days[cursor]` is non-empty or a forward walk from it finds the
-    /// first non-empty day (pop makes the walk permanent).
-    cursor: usize,
-    /// Fine-grained sub-calendar standing in for one crowded day, if any.
-    sub: Option<SubMeta>,
-    /// Persistent sub-bucket storage, recycled across splits.
-    sub_buckets: Vec<Vec<Key>>,
-    /// Scratch buffer reused by retunes so steady state allocates nothing.
-    scratch: Vec<Key>,
+    heap: BinaryHeap<Key>,
     /// Slot arena holding the payloads of pending events; `free` lists
     /// vacated slots for reuse, so a steady-state schedule/pop workload
     /// allocates nothing once the arena has grown to the peak occupancy.
     slots: Vec<Option<E>>,
-    /// Sequence number of each slot's current occupant — lets `cancel`
-    /// tell a live handle from one whose slot was already recycled.
-    slot_seq: Vec<u64>,
     free: Vec<u32>,
     next_seq: u64,
     now: f64,
-    len: usize,
     high_water: usize,
 }
 
@@ -244,20 +99,11 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            days: Vec::new(),
-            overflow: Vec::new(),
-            width: 0.05,
-            year_base: 0.0,
-            cursor: 0,
-            sub: None,
-            sub_buckets: Vec::new(),
-            scratch: Vec::new(),
+            heap: BinaryHeap::new(),
             slots: Vec::new(),
-            slot_seq: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             now: 0.0,
-            len: 0,
             high_water: 0,
         }
     }
@@ -269,12 +115,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The largest number of events that were ever pending at once.
@@ -282,184 +128,7 @@ impl<E> EventQueue<E> {
         self.high_water
     }
 
-    /// Day index for `time` under the current calendar geometry, or
-    /// `None` when it falls past the end of the year (overflow ladder).
-    fn day_index(&self, time: f64) -> Option<usize> {
-        if time < self.year_base {
-            return Some(0);
-        }
-        let d = (time - self.year_base) / self.width;
-        if d < self.days.len() as f64 {
-            Some(d as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Files a key under the current geometry.
-    fn insert_key(&mut self, k: Key) {
-        match self.day_index(k.time) {
-            Some(d) => {
-                if self.sub.as_ref().is_some_and(|s| s.day == d) {
-                    self.sub_insert(k);
-                } else {
-                    bucket_push(&mut self.days[d], k);
-                }
-                if d < self.cursor {
-                    self.cursor = d;
-                }
-            }
-            None => self.overflow.push(k),
-        }
-    }
-
-    /// Files a key into the active sub-calendar (caller checked the day).
-    fn sub_insert(&mut self, k: Key) {
-        let s = self.sub.as_mut().expect("sub_insert without a split");
-        let idx = if k.time <= s.start {
-            0
-        } else {
-            (((k.time - s.start) / s.width) as usize).min(s.nbuckets - 1)
-        };
-        bucket_push(&mut self.sub_buckets[idx], k);
-        if idx < s.cursor {
-            s.cursor = idx;
-        }
-        s.len += 1;
-    }
-
-    /// Scatters the cursor day's heap over a fine sub-bucket array.
-    /// O(bucket size), amortized against the pops that drain it.
-    fn split_cursor_day(&mut self) {
-        let day = self.cursor;
-        let mut keys = std::mem::take(&mut self.days[day]);
-        let day_end = self.year_base + (day as f64 + 1.0) * self.width;
-        let mut start = f64::INFINITY;
-        for k in &keys {
-            start = start.min(k.time);
-        }
-        let nbuckets = (2 * keys.len())
-            .next_power_of_two()
-            .clamp(MIN_DAYS, SUB_MAX_BUCKETS);
-        if self.sub_buckets.len() < nbuckets {
-            self.sub_buckets.resize_with(nbuckets, Vec::new);
-        }
-        // `start` is a pending key's time, strictly below the day's end,
-        // so the width is positive; a same-instant cluster simply shares
-        // one sub-bucket heap and keeps its FIFO order there.
-        let width = (day_end - start) / nbuckets as f64;
-        self.sub = Some(SubMeta {
-            day,
-            start,
-            width,
-            nbuckets,
-            cursor: 0,
-            len: 0,
-        });
-        for k in keys.drain(..) {
-            self.sub_insert(k);
-        }
-        self.days[day] = keys;
-    }
-
-    /// Pops the earliest key from the active sub-calendar.
-    fn sub_pop(&mut self) -> Key {
-        let s = self.sub.as_mut().expect("sub_pop without a split");
-        while self.sub_buckets[s.cursor].is_empty() {
-            s.cursor += 1;
-        }
-        let k = bucket_pop(&mut self.sub_buckets[s.cursor]).expect("walked to non-empty");
-        s.len -= 1;
-        if s.len == 0 {
-            self.sub = None;
-        }
-        k
-    }
-
-    /// True when day `d` still owns pending keys (its heap, or the
-    /// sub-calendar standing in for it).
-    fn day_busy(&self, d: usize) -> bool {
-        !self.days[d].is_empty() || self.sub.as_ref().is_some_and(|s| s.day == d && s.len > 0)
-    }
-
-    /// Rebuilds the calendar around the currently pending keys: sizes the
-    /// day count to the population, the day width to the mean gap, and
-    /// re-anchors the year at the earliest pending time. O(len), but
-    /// triggered only by geometric occupancy thresholds (or a year roll),
-    /// so the amortized cost per operation is O(1).
-    fn retune(&mut self) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for day in &mut self.days {
-            scratch.append(day);
-        }
-        if let Some(s) = self.sub.take() {
-            for b in &mut self.sub_buckets[..s.nbuckets] {
-                scratch.append(b);
-            }
-        }
-        scratch.append(&mut self.overflow);
-        debug_assert_eq!(scratch.len(), self.len);
-
-        let mut t_min = f64::INFINITY;
-        let mut t_max = f64::NEG_INFINITY;
-        for k in &scratch {
-            t_min = t_min.min(k.time);
-            t_max = t_max.max(k.time);
-        }
-        // Monotone day count (see the growth-only trigger in
-        // `schedule`): never release bucket storage a previous peak
-        // justified, so retunes after a drain stay O(live events) and
-        // the next burst finds its buckets already allocated.
-        let ndays = self
-            .len
-            .next_power_of_two()
-            .clamp(MIN_DAYS, MAX_DAYS)
-            .max(self.days.len());
-        if self.days.len() != ndays {
-            self.days.resize_with(ndays, Vec::new);
-        }
-        let span = (t_max - t_min).max(0.0);
-        self.width = (span / self.len.max(1) as f64).clamp(MIN_WIDTH, MAX_WIDTH);
-        self.year_base = if t_min.is_finite() { t_min } else { self.now };
-        self.cursor = 0;
-        for k in scratch.drain(..) {
-            self.insert_key(k);
-        }
-        self.scratch = scratch;
-    }
-
-    /// Advances the year so the earliest overflow event lands in day 0.
-    /// Called only when every day bucket is empty and the overflow ladder
-    /// is not; retuning from the overflow population also re-tunes the
-    /// width to the (possibly much sparser) far-future event spacing.
-    fn roll_year(&mut self) {
-        debug_assert!(!self.overflow.is_empty(), "rolled an empty year");
-        self.retune();
-        debug_assert!(
-            self.days.iter().any(|d| !d.is_empty()),
-            "year roll left all days empty"
-        );
-    }
-
-    /// After removing a key: walk the cursor past drained days and roll
-    /// the year if only overflow events remain, so `days[cursor..]` holds
-    /// the minimum whenever events are pending (what `peek_time` relies
-    /// on to stay O(1) amortized and allocation-free).
-    fn fix_cursor_after_removal(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        while self.cursor < self.days.len() && !self.day_busy(self.cursor) {
-            self.cursor += 1;
-        }
-        if self.cursor == self.days.len() {
-            self.roll_year();
-        }
-    }
-
-    /// Schedules `event` at absolute time `time`, returning a handle that
-    /// can [`cancel`](Self::cancel) it before it fires.
+    /// Schedules `event` at absolute time `time`.
     ///
     /// Scheduling in the past (a delay computed as a tiny negative float)
     /// is clamped to `now`; the event still runs after already-queued
@@ -470,8 +139,8 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `time` is NaN or infinite, rather than admitting a value
-    /// whose bucket index would be meaningless.
-    pub fn schedule(&mut self, time: f64, event: E) -> EventId {
+    /// that has no place in the simulated timeline.
+    pub fn schedule(&mut self, time: f64, event: E) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         let time = if time < self.now { self.now } else { time };
         let time = if time == 0.0 { 0.0 } else { time }; // -0.0 -> +0.0
@@ -480,145 +149,38 @@ impl<E> EventQueue<E> {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(event);
-                self.slot_seq[s as usize] = seq;
                 s
             }
             None => {
                 assert!(self.slots.len() < u32::MAX as usize, "event arena full");
                 self.slots.push(Some(event));
-                self.slot_seq.push(seq);
                 (self.slots.len() - 1) as u32
             }
         };
-        if self.len == 0 {
-            // Re-anchor an empty calendar at this event so the first
-            // insert always lands in a day bucket, never in overflow.
-            if self.days.is_empty() {
-                self.days.resize_with(MIN_DAYS, Vec::new);
-            }
-            self.year_base = time;
-            self.cursor = 0;
-        }
-        self.len += 1;
-        self.insert_key(Key { time, seq, slot });
-        if self.len > self.high_water {
-            self.high_water = self.len;
-        }
-        // Growth-only day-count adaptation. A shrink trigger looks
-        // symmetric but is a trap in this workload: every hello round
-        // swings the pending population by ~10x within one simulated
-        // second, and a shrink/grow pair per swing costs two O(len)
-        // retunes plus freeing and reallocating thousands of bucket
-        // Vecs. Idle oversized calendars are cheap instead — empty days
-        // cost one cursor step each, amortized over the year, and year
-        // rolls still re-tune the width to the live population.
-        if self.len > 2 * self.days.len() && self.days.len() < MAX_DAYS {
-            self.retune();
-        }
-        EventId {
-            seq,
-            slot,
-            time_bits: time.to_bits(),
-        }
+        self.heap.push(Key { time, seq, slot });
+        self.high_water = self.high_water.max(self.heap.len());
     }
 
     /// Schedules `event` after a relative delay from the current clock.
-    pub fn schedule_in(&mut self, delay: f64, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: f64, event: E) {
         self.schedule(self.now + delay.max(0.0), event)
-    }
-
-    /// Cancels a pending event, returning its payload, or `None` if the
-    /// event already fired or was already cancelled. O(bucket size): the
-    /// handle's timestamp locates the owning day, and the key is removed
-    /// from that bucket's heap eagerly — no tombstones, so the pop path
-    /// and the determinism contract are untouched by cancellation.
-    pub fn cancel(&mut self, id: EventId) -> Option<E> {
-        let s = id.slot as usize;
-        if s >= self.slots.len() || self.slot_seq[s] != id.seq || self.slots[s].is_none() {
-            return None;
-        }
-        let key = match self.day_index(id.time()) {
-            Some(d) if self.sub.as_ref().is_some_and(|s| s.day == d) => {
-                let s = self.sub.as_mut().expect("checked in the guard");
-                let idx = if id.time() <= s.start {
-                    0
-                } else {
-                    (((id.time() - s.start) / s.width) as usize).min(s.nbuckets - 1)
-                };
-                let k = bucket_remove_seq(&mut self.sub_buckets[idx], id.seq);
-                if k.is_some() {
-                    s.len -= 1;
-                    if s.len == 0 {
-                        self.sub = None;
-                    }
-                }
-                k
-            }
-            Some(d) => bucket_remove_seq(&mut self.days[d], id.seq),
-            None => {
-                let i = self.overflow.iter().position(|k| k.seq == id.seq)?;
-                Some(self.overflow.swap_remove(i))
-            }
-        }?;
-        debug_assert_eq!(key.slot, id.slot);
-        let event = self.slots[s].take().expect("checked occupied above");
-        self.free.push(id.slot);
-        self.len -= 1;
-        self.fix_cursor_after_removal();
-        Some(event)
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.cursor < self.days.len() && !self.day_busy(self.cursor) {
-            self.cursor += 1;
-        }
-        if self.cursor == self.days.len() {
-            self.roll_year();
-        }
-        if self.sub.is_none() && self.days[self.cursor].len() > FAT_BUCKET {
-            self.split_cursor_day();
-        }
-        let s = if self
-            .sub
-            .as_ref()
-            .is_some_and(|s| s.day == self.cursor && s.len > 0)
-        {
-            self.sub_pop()
-        } else {
-            bucket_pop(&mut self.days[self.cursor]).expect("cursor day non-empty")
-        };
-        self.len -= 1;
-        self.fix_cursor_after_removal();
-        debug_assert!(s.time >= self.now, "clock went backwards");
-        self.now = s.time;
-        let event = self.slots[s.slot as usize]
+        let k = self.heap.pop()?;
+        debug_assert!(k.time >= self.now, "clock went backwards");
+        self.now = k.time;
+        let event = self.slots[k.slot as usize]
             .take()
-            .expect("bucket key points at an occupied slot");
-        self.free.push(s.slot);
-        Some((s.time, event))
+            .expect("heap key points at an occupied slot");
+        self.free.push(k.slot);
+        Some((k.time, event))
     }
 
     /// Peeks at the time of the next event without popping.
     pub fn peek_time(&self) -> Option<f64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut d = self.cursor;
-        while !self.day_busy(d) {
-            d += 1; // a busy day exists: fix_cursor rolled the year
-        }
-        if let Some(s) = self.sub.as_ref().filter(|s| s.day == d && s.len > 0) {
-            let mut b = s.cursor;
-            while self.sub_buckets[b].is_empty() {
-                b += 1;
-            }
-            return Some(self.sub_buckets[b][0].time);
-        }
-        Some(self.days[d][0].time)
+        self.heap.peek().map(|k| k.time)
     }
 }
 
@@ -723,12 +285,14 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
-    // --- calendar-specific coverage -----------------------------------
+    // The tests below keep the names they had when the queue was a
+    // calendar (an overflow ladder for far-future events, year rolls,
+    // retunes, fat-day splits), so their IDs stay stable; each still pins
+    // the pop order of the event-time shape it was written for.
 
     #[test]
     fn far_future_events_ride_the_overflow_ladder() {
         let mut q = EventQueue::new();
-        // Year at creation covers a few seconds; these are days apart.
         q.schedule(0.5, 1);
         q.schedule(100_000.0, 4);
         q.schedule(7.25, 2);
@@ -742,7 +306,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(0.0, -1);
         for i in 0..10 {
-            q.schedule(50_000.0, i); // far past the initial year
+            q.schedule(50_000.0, i);
         }
         assert_eq!(q.pop(), Some((0.0, -1)));
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -751,8 +315,8 @@ mod tests {
 
     #[test]
     fn growth_retunes_keep_order_under_load() {
-        // Push through several geometric retunes, interleaving pops, and
-        // check against a sorted reference of the surviving population.
+        // Push ever larger waves, interleaving pops, and check against a
+        // sorted reference of the surviving population.
         let mut q = EventQueue::new();
         let mut expect: Vec<(f64, u32)> = Vec::new();
         let mut n = 0u32;
@@ -784,56 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_exactly_the_handled_event() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(1.0, "a");
-        let b = q.schedule(1.0, "b");
-        let c = q.schedule(2.0, "c");
-        assert_eq!(q.cancel(b), Some("b"));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.cancel(b), None, "double-cancel is a no-op");
-        assert_eq!(q.pop(), Some((1.0, "a")));
-        assert_eq!(q.cancel(a), None, "fired events cannot be cancelled");
-        assert_eq!(q.pop(), Some((2.0, "c")));
-        assert_eq!(q.cancel(c), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_handle_survives_slot_reuse() {
-        let mut q = EventQueue::new();
-        let stale = q.schedule(1.0, 10);
-        q.pop();
-        // The freed slot is recycled by the next schedule; the stale
-        // handle must not cancel the new occupant.
-        let fresh = q.schedule(2.0, 20);
-        assert_eq!(q.cancel(stale), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.cancel(fresh), Some(20));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_reaches_the_overflow_ladder() {
-        let mut q = EventQueue::new();
-        q.schedule(0.1, "near");
-        let far = q.schedule(1_000_000.0, "far");
-        assert_eq!(q.cancel(far), Some("far"));
-        assert_eq!(q.pop(), Some((0.1, "near")));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancelling_the_last_near_event_rolls_to_overflow() {
-        let mut q = EventQueue::new();
-        let near = q.schedule(0.1, "near");
-        q.schedule(1_000_000.0, "far");
-        assert_eq!(q.cancel(near), Some("near"));
-        assert_eq!(q.peek_time(), Some(1_000_000.0));
-        assert_eq!(q.pop(), Some((1_000_000.0, "far")));
-    }
-
-    #[test]
     fn negative_zero_times_keep_fifo_order() {
         // -0.0 is normalized to +0.0 on entry, so total_cmp cannot split
         // a same-instant burst by zero sign — the seq FIFO decides, as it
@@ -851,7 +365,8 @@ mod tests {
         // Regression for the old `partial_cmp(..).unwrap_or(Equal)`
         // comparator: a NaN key must still sort deterministically (after
         // every finite time, per total_cmp) instead of comparing Equal to
-        // everything and corrupting the heap invariants.
+        // everything and corrupting the heap invariants. The order is
+        // reversed for the max-heap: the key that pops first is greater.
         let nan = Key {
             time: f64::NAN,
             seq: 0,
@@ -862,22 +377,21 @@ mod tests {
             seq: 1,
             slot: 0,
         };
-        assert!(key_lt(&one, &nan), "finite sorts before positive NaN");
-        assert!(!key_lt(&nan, &one));
+        assert_eq!(one.cmp(&nan), Ordering::Greater, "finite pops before NaN");
+        assert_eq!(nan.cmp(&one), Ordering::Less);
         let nan2 = Key {
             time: f64::NAN,
             seq: 5,
             slot: 0,
         };
-        assert!(key_lt(&nan, &nan2), "equal bit-pattern NaNs fall to seq");
-        assert!(!key_lt(&nan2, &nan));
+        assert_eq!(nan.cmp(&nan2), Ordering::Greater, "equal NaNs fall to seq");
+        assert_eq!(nan2.cmp(&nan), Ordering::Less);
+        assert_eq!(nan.cmp(&nan), Ordering::Equal);
     }
 
     #[test]
     fn massive_same_instant_burst_stays_fifo_through_retunes() {
         let mut q = EventQueue::new();
-        // Zero span: width clamps to MIN_WIDTH; everything lands in one
-        // bucket and the bucket heap alone must keep FIFO order.
         for i in 0..5_000 {
             q.schedule(3.0, i);
         }
@@ -891,22 +405,20 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(5.0, 1);
         q.pop();
-        // The queue is empty with now = 5.0; a schedule far from the old
-        // year base must land in a day bucket, not strand in overflow.
+        // The queue is empty with now = 5.0; an event far ahead of the
+        // last one must still be the next to peek and pop.
         q.schedule(1_000_000.0, 2);
         assert_eq!(q.peek_time(), Some(1_000_000.0));
         assert_eq!(q.pop(), Some((1_000_000.0, 2)));
     }
 
-    /// A fan-out dense enough to trip the [`FAT_BUCKET`] split must pop
-    /// in exactly the `(time, seq)` order of the flat model, including
-    /// the same-instant cluster that shares one sub-bucket.
+    /// A dense frame fan-out among sparse timers, the simulator's usual
+    /// shape, must pop in exactly the `(time, seq)` order of the flat
+    /// model, including a same-instant cluster inside the burst.
     #[test]
     fn fat_day_split_preserves_pop_order() {
         let mut q = EventQueue::new();
         let mut model: Vec<(f64, u64)> = Vec::new();
-        // Sparse timers first so the retuned width is coarse relative
-        // to the burst spacing — the shape that makes one day fat.
         for i in 0..8u64 {
             q.schedule(i as f64 * 0.5, i);
             model.push((i as f64 * 0.5, i));
@@ -916,7 +428,6 @@ mod tests {
             q.schedule(t, 1000 + i);
             model.push((t, 1000 + i));
         }
-        // Same-instant cluster: lands in a single sub-bucket heap.
         for i in 0..60u64 {
             q.schedule(1.25, 2000 + i);
             model.push((1.25, 2000 + i));
@@ -929,28 +440,21 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Cancelling and re-scheduling into a split day must route through
-    /// the sub-calendar: the handle still cancels, inserts land in time
-    /// order, and draining the sub hands the day back to the calendar.
+    /// An event scheduled into the middle of a burst that is already
+    /// popping takes its place in time order among the burst's events.
     #[test]
-    fn cancel_and_insert_reach_the_split_day() {
+    fn insert_into_a_popping_burst_keeps_pop_order() {
         let mut q = EventQueue::new();
         for i in 0..4u64 {
             q.schedule(i as f64, i);
         }
-        let mut handles = Vec::new();
         for i in 0..100u64 {
             let t = 1.0 + 1e-5 + i as f64 * 1e-6;
-            handles.push(q.schedule(t, 100 + i));
+            q.schedule(t, 100 + i);
         }
-        // Pop past the sparse timers into the burst, forcing the split.
         assert_eq!(q.pop(), Some((0.0, 0)));
         assert_eq!(q.pop(), Some((1.0, 1)));
         assert_eq!(q.pop(), Some((1.0 + 1e-5, 100)));
-        // Cancel a mid-burst event, then schedule a new one inside the
-        // split day; both must route into the live sub-calendar.
-        assert_eq!(q.cancel(handles[50]), Some(150));
-        assert_eq!(q.cancel(handles[50]), None);
         q.schedule(1.0 + 1e-5 + 49.5e-6, 999);
         let mut got = Vec::new();
         while let Some((_, e)) = q.pop() {
@@ -958,7 +462,7 @@ mod tests {
         }
         let mut want: Vec<u64> = (101..150).collect();
         want.push(999);
-        want.extend(151..200);
+        want.extend(150..200);
         want.extend([2, 3]);
         assert_eq!(got, want);
     }

@@ -41,7 +41,7 @@ pub use config::{
     EnergyConfig, InsiderConfig, InsiderMode, LocationPolicy, MacConfig, MobilityKind, Placement,
     ScenarioConfig, ScenarioError, TrafficConfig,
 };
-pub use engine::{EventId, EventQueue};
+pub use engine::EventQueue;
 pub use fault::{FaultPlan, LinkDegradation, NodeCrash, RegionOutage};
 pub use guard::{RunAbort, RunBudget, WALL_CHECK_INTERVAL};
 pub use ids::{NodeId, PacketId, SessionId, TimerToken};

@@ -775,8 +775,7 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
         match dest {
             TxDest::Unicast(p) => {
                 if let Some(&to) = self.pseudonym_map.get(&p) {
-                    let in_range =
-                        self.position(to).distance(from_pos) <= range_m && to != from;
+                    let in_range = self.position(to).distance(from_pos) <= range_m && to != from;
                     let down = self.is_down(to);
                     let lost = loss > 0.0 && self.rng.gen_range(0.0..1.0) < loss;
                     if !in_range || down || lost {

@@ -179,8 +179,16 @@ fn energy_death_preempts_fault_recovery() {
     );
     w.run();
     assert_eq!(w.counter("energy.deaths"), 2);
-    assert_eq!(w.counter("node.downs"), 2, "only the 0->1 transition counts");
-    assert_eq!(w.counter("node.ups"), 0, "recovery cannot revive a drained node");
+    assert_eq!(
+        w.counter("node.downs"),
+        2,
+        "only the 0->1 transition counts"
+    );
+    assert_eq!(
+        w.counter("node.ups"),
+        0,
+        "recovery cannot revive a drained node"
+    );
 }
 
 #[test]

@@ -24,7 +24,7 @@
 //!   real `NodeId` on the wire, bounded per-packet frame budgets, hop
 //!   counts above the geometric floor), and accounting identities
 //!   (registry == trace == metrics).
-//! * [`shrink`] — minimizes a failing case along its config axes while
+//! * [`shrink`](mod@shrink) — minimizes a failing case along its config axes while
 //!   the same invariant keeps firing, aiming for a scenario that is
 //!   fully expressible as `simrun` flags so the emitted one-line replay
 //!   command is exact.

@@ -221,7 +221,9 @@ pub fn coverage_lines(seed: u64, cases: usize, plant: Plant) -> Vec<String> {
              manhattan={m_manhattan} rwp={m_rwp}"
         ),
         format!("# coverage: placement uniform={p_uniform} convoy={p_convoy} teams={p_teams}"),
-        format!("# coverage: energy metered={e_metered} zero-start={e_zero} cluster-heads={e_heads}"),
+        format!(
+            "# coverage: energy metered={e_metered} zero-start={e_zero} cluster-heads={e_heads}"
+        ),
         format!(
             "# coverage: insiders log={i_log} drop={i_drop} modify={i_modify} \
              stealth={i_stealth}"
@@ -518,7 +520,10 @@ mod tests {
             ..SuiteOptions::default()
         };
         let (summary, report) = run_to_string(&opts);
-        assert!(summary.violated > 0, "insider drill went uncaught:\n{report}");
+        assert!(
+            summary.violated > 0,
+            "insider drill went uncaught:\n{report}"
+        );
         assert!(report.contains("insider-containment"), "{report}");
     }
 

@@ -4,30 +4,29 @@
 //! shrunk, and reported with a `simrun` replay command that actually
 //! runs.
 //!
-//! Runs the binaries as real subprocesses. Under `cargo test` the paths
-//! come from `CARGO_BIN_EXE_*`; standalone harnesses (the offline check
-//! scripts) can point `SIMCHECK_BIN` / `SIMRUN_BIN` at prebuilt
-//! binaries instead.
+//! Runs the binaries as real subprocesses: `simcheck` through
+//! `CARGO_BIN_EXE_simcheck`, `simrun` from the same directory.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn simcheck_bin() -> Option<PathBuf> {
-    if let Some(p) = option_env!("CARGO_BIN_EXE_simcheck") {
-        return Some(PathBuf::from(p));
-    }
-    std::env::var_os("SIMCHECK_BIN").map(PathBuf::from)
+fn simcheck_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_simcheck"))
 }
 
-fn simrun_bin() -> Option<PathBuf> {
-    // Another package's binary: cargo exposes no CARGO_BIN_EXE for it,
-    // so derive it from simcheck's target dir, or take SIMRUN_BIN.
-    if let Some(p) = std::env::var_os("SIMRUN_BIN") {
-        return Some(PathBuf::from(p));
-    }
-    let simcheck = simcheck_bin()?;
-    let sibling = simcheck.with_file_name(format!("simrun{}", std::env::consts::EXE_SUFFIX));
-    sibling.exists().then_some(sibling)
+/// `simrun` belongs to another package, so cargo sets no
+/// `CARGO_BIN_EXE_simrun` here; a workspace build puts it next to
+/// `simcheck`. A missing binary fails the test rather than skipping it.
+fn simrun_bin() -> PathBuf {
+    let simrun = simcheck_bin().with_file_name(format!("simrun{}", std::env::consts::EXE_SUFFIX));
+    assert!(
+        simrun.exists(),
+        "{} is missing: build it with the same profile first \
+         (`cargo build -p alert-bench --bin simrun`), or run `cargo test` \
+         at the workspace root",
+        simrun.display()
+    );
+    simrun
 }
 
 fn run(bin: &PathBuf, args: &[&str]) -> Output {
@@ -40,7 +39,7 @@ fn stdout_of(out: &Output) -> String {
 
 #[test]
 fn clean_suite_exits_zero_and_is_byte_identical() {
-    let Some(bin) = simcheck_bin() else { return };
+    let bin = simcheck_bin();
     let args = ["--cases", "8", "--seed", "0"];
     let a = run(&bin, &args);
     assert!(
@@ -59,7 +58,7 @@ fn clean_suite_exits_zero_and_is_byte_identical() {
 
 #[test]
 fn usage_errors_exit_two() {
-    let Some(bin) = simcheck_bin() else { return };
+    let bin = simcheck_bin();
     for args in [
         &["--no-such-flag"][..],
         &["--cases"][..],
@@ -79,7 +78,7 @@ fn usage_errors_exit_two() {
 
 #[test]
 fn list_invariants_exits_zero_and_names_the_oracles() {
-    let Some(bin) = simcheck_bin() else { return };
+    let bin = simcheck_bin();
     let out = run(&bin, &["--list-invariants"]);
     assert!(out.status.success());
     let text = stdout_of(&out);
@@ -95,7 +94,7 @@ fn list_invariants_exits_zero_and_names_the_oracles() {
 
 #[test]
 fn planted_leak_is_caught_shrunk_and_replayable() {
-    let Some(bin) = simcheck_bin() else { return };
+    let bin = simcheck_bin();
     let out = run(
         &bin,
         &[
@@ -130,7 +129,7 @@ fn planted_leak_is_caught_shrunk_and_replayable() {
     assert!(args.contains(&"__leaky-node-id"), "{replay}");
 
     // ...and that command must actually run (exit 0 under simrun).
-    let Some(simrun) = simrun_bin() else { return };
+    let simrun = simrun_bin();
     let rerun = run(&simrun, &args);
     assert!(
         rerun.status.success(),
@@ -142,7 +141,7 @@ fn planted_leak_is_caught_shrunk_and_replayable() {
 
 #[test]
 fn failure_artifact_scenario_replays_under_simrun() {
-    let Some(bin) = simcheck_bin() else { return };
+    let bin = simcheck_bin();
     let dir = std::env::temp_dir().join(format!("simcheck_artifacts_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_arg = dir.to_str().expect("temp dir is UTF-8");
@@ -183,7 +182,7 @@ fn failure_artifact_scenario_replays_under_simrun() {
     };
 
     // The scenario file decodes and reruns the case...
-    let Some(simrun) = simrun_bin() else { return };
+    let simrun = simrun_bin();
     let scenario_arg = scenario.to_str().expect("UTF-8 path");
     let args = [
         "--protocol",
@@ -210,7 +209,7 @@ fn failure_artifact_scenario_replays_under_simrun() {
 
 #[test]
 fn simrun_honours_the_same_exit_code_contract() {
-    let Some(simrun) = simrun_bin() else { return };
+    let simrun = simrun_bin();
     // 0: a small clean run.
     let ok = run(
         &simrun,
