@@ -41,7 +41,7 @@ pub mod supervisor;
 
 pub use journal::{JobJournal, JobRecord, JobState, ReplayedJob};
 pub use protocol::{ErrorKind, QueryRequest, Request, Response};
-pub use server::{serve, BindAddr, ServeError, ServerConfig, ServerStats};
+pub use server::{serve, BindAddr, ServeError, ServerConfig, ServerStats, MAX_LINE_BYTES};
 pub use spec::{parse_fp_hex, run_job, Artifacts, JobSpec};
 pub use store::ResultStore;
 pub use supervisor::{backoff_delay, supervise, SupervisorOptions};

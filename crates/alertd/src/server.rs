@@ -37,8 +37,9 @@ use alert_sim::{
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -165,6 +166,10 @@ struct Shared {
     store: ResultStore,
     config: ServerConfig,
     started: Instant,
+    /// The listener's own address, for the drain's wake-up connect.
+    endpoint: Endpoint,
+    /// Live connection handlers, bounded by [`MAX_CONNECTIONS`].
+    connections: AtomicUsize,
 }
 
 impl Shared {
@@ -235,9 +240,10 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
 
     // --- Listen and advertise the endpoint. --------------------------
     let listener = Listener::bind(&config.bind)?;
-    let endpoint = config.dir.join("alertd.endpoint");
-    write_atomic(&endpoint, &format!("{}\n", listener.advertisement()))?;
-    println!("[alertd] listening: {}", listener.advertisement());
+    let endpoint = listener.endpoint()?;
+    let endpoint_file = config.dir.join("alertd.endpoint");
+    write_atomic(&endpoint_file, &format!("{endpoint}\n"))?;
+    println!("[alertd] listening: {endpoint}");
 
     let shared = Arc::new(Shared {
         inner: Mutex::new(inner),
@@ -245,6 +251,8 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
         store,
         config: config.clone(),
         started: Instant::now(),
+        endpoint,
+        connections: AtomicUsize::new(0),
     });
 
     // --- Supervised dispatcher. --------------------------------------
@@ -266,24 +274,29 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
     };
 
     // --- Accept loop. ------------------------------------------------
-    listener.set_nonblocking(true)?;
+    // `accept` blocks until a client connects. A drain sets `shutdown`
+    // once its reply is out, then connects here to wake the loop; the
+    // shutdown check precedes the cap so that wake is never refused.
+    // The cap also bounds the descriptors handlers hold, so the error
+    // arm cannot spin on descriptor exhaustion the daemon caused.
     loop {
+        let accepted = listener.accept();
         if shared.inner.lock().unwrap().shutdown {
             break;
         }
-        match listener.accept() {
-            Ok(stream) => {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || handle_connection(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
+        let stream = match accepted {
+            Ok(stream) => stream,
             Err(e) => {
                 println!("[alertd] accept error: {e}");
-                thread::sleep(Duration::from_millis(50));
+                continue;
             }
+        };
+        if shared.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            refuse_connection(stream);
+            continue;
         }
+        let slot = ConnectionSlot::claim(&shared);
+        thread::spawn(move || handle_connection(stream, &slot.0));
     }
     dispatcher.join().ok();
 
@@ -295,7 +308,7 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
             &inner.series.to_jsonl(),
         );
     }
-    let _ = std::fs::remove_file(&endpoint);
+    let _ = std::fs::remove_file(&endpoint_file);
     let stats = ServerStats {
         completed: inner.pool.completed as usize,
         failed: inner.pool.failed as usize,
@@ -488,7 +501,37 @@ fn on_dispatcher_panic(shared: &Shared, msg: &str) {
 /// longer line, or a client trickling bytes with no newline, is answered
 /// `bad_request` and disconnected once this many bytes have arrived, so
 /// a connection never buffers more than this.
-const MAX_LINE_BYTES: usize = 64 * 1024;
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Most connections served at once. One more is answered with a single
+/// `busy` error line and closed.
+const MAX_CONNECTIONS: usize = 64;
+
+/// A live handler's claim on one of the [`MAX_CONNECTIONS`] slots,
+/// released when the handler returns or unwinds. Only the accept loop
+/// claims, so its check against the cap cannot race another claim.
+struct ConnectionSlot(Arc<Shared>);
+
+impl ConnectionSlot {
+    fn claim(shared: &Arc<Shared>) -> ConnectionSlot {
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(Arc::clone(shared))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a connection over the cap with one `busy` line and closes it.
+fn refuse_connection(mut stream: Stream) {
+    let message = format!("connection limit reached ({MAX_CONNECTIONS} open)");
+    let mut line = Response::error(ErrorKind::Busy, message).to_jsonl();
+    line.push('\n');
+    let _ = stream.write_all(line.as_bytes());
+}
 
 fn handle_connection(stream: Stream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
@@ -521,12 +564,29 @@ fn handle_connection(stream: Stream, shared: &Shared) {
             continue;
         }
         let response = match Request::parse_line(&text) {
+            Some(Request::Drain) => {
+                send(handle_request(shared, Request::Drain));
+                finish_drain(shared);
+                return;
+            }
             Some(req) => handle_request(shared, req),
             None => Response::error(ErrorKind::BadRequest, "unparseable request line"),
         };
         if !send(response) {
             return;
         }
+    }
+}
+
+/// Lets [`serve`] return once the drain reply is on the wire: sets
+/// `shutdown`, then wakes the accept loop with one connection to the
+/// listener's own address. Setting the flag before the reply is written
+/// would let any client's connect end `serve`, and with it the process,
+/// while the drain client still waits for its answer.
+fn finish_drain(shared: &Shared) {
+    shared.inner.lock().unwrap().shutdown = true;
+    if let Err(e) = shared.endpoint.connect() {
+        println!("[alertd] drain could not wake the accept loop: {e}");
     }
 }
 
@@ -780,7 +840,7 @@ fn handle_health(shared: &Shared) -> Response {
     counters.insert("pool.duplicates".into(), inner.pool.duplicates);
     counters.insert("pool.committed".into(), inner.pool.completed);
     counters.insert("pool.failed".into(), inner.pool.failed);
-    if inner.series.samples.last().map_or(true, |s| uptime > s.t) {
+    if inner.series.samples.last().is_none_or(|s| uptime > s.t) {
         let snap = RegistrySnapshot {
             counters: counters.clone(),
             histograms: BTreeMap::new(),
@@ -828,14 +888,10 @@ fn handle_drain(shared: &Shared) -> Response {
     while Shared::outstanding(&inner) > 0 {
         inner = shared.cond.wait(inner).unwrap();
     }
-    let completed = inner.pool.completed;
-    let failed = inner.pool.failed;
-    inner.shutdown = true;
-    shared.cond.notify_all();
     Response::ok()
         .with_num("drained", 1u8)
-        .with_num("completed", completed)
-        .with_num("failed", failed)
+        .with_num("completed", inner.pool.completed)
+        .with_num("failed", inner.pool.failed)
 }
 
 fn handle_rollback(shared: &Shared, fp: u64) -> Response {
@@ -882,6 +938,14 @@ enum Listener {
     Unix(std::os::unix::net::UnixListener, PathBuf),
 }
 
+/// Where a [`Listener`] can be reached: the `alertd.endpoint` line
+/// clients resolve reads `tcp HOST:PORT` or `unix PATH`.
+enum Endpoint {
+    Tcp(SocketAddr),
+    #[cfg(unix)]
+    Unix(PathBuf),
+}
+
 /// One accepted connection.
 enum Stream {
     Tcp(TcpStream),
@@ -909,40 +973,51 @@ impl Listener {
         }
     }
 
-    /// The `alertd.endpoint` line clients resolve: `tcp HOST:PORT` or
-    /// `unix PATH`.
-    fn advertisement(&self) -> String {
-        match self {
-            Listener::Tcp(l) => match l.local_addr() {
-                Ok(a) => format!("tcp {a}"),
-                Err(_) => "tcp unknown".to_owned(),
-            },
+    fn endpoint(&self) -> io::Result<Endpoint> {
+        Ok(match self {
+            Listener::Tcp(l) => Endpoint::Tcp(l.local_addr()?),
             #[cfg(unix)]
-            Listener::Unix(_, path) => format!("unix {}", path.display()),
-        }
+            Listener::Unix(_, path) => Endpoint::Unix(path.clone()),
+        })
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(nb),
-        }
-    }
-
+    /// Blocks until a client connects.
     fn accept(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
+            #[cfg(unix)]
+            Listener::Unix(l, _) => Stream::Unix(l.accept()?.0),
+        })
+    }
+}
+
+impl Endpoint {
+    /// Connects to the endpoint; a wildcard TCP address (`0.0.0.0`,
+    /// `[::]`) is reached through loopback.
+    fn connect(&self) -> io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Stream::Tcp(s))
+            Endpoint::Tcp(addr) => {
+                let mut addr = *addr;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr.ip() {
+                        IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                        IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                    });
+                }
+                TcpStream::connect(addr).map(Stream::Tcp)
             }
             #[cfg(unix)]
-            Listener::Unix(l, _) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Stream::Unix(s))
-            }
+            Endpoint::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(Stream::Unix),
+        }
+    }
+}
+
+impl fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Endpoint::Tcp(addr) => write!(f, "tcp {addr}"),
+            #[cfg(unix)]
+            Endpoint::Unix(path) => write!(f, "unix {}", path.display()),
         }
     }
 }
@@ -997,7 +1072,8 @@ impl io::Write for Stream {
 mod tests {
     use super::*;
     use crate::protocol::Request;
-    use std::net::TcpStream;
+    use std::path::Path;
+    use std::sync::mpsc;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("alertd_server_{tag}_{}", std::process::id()));
@@ -1017,18 +1093,27 @@ mod tests {
         }
     }
 
+    /// The endpoint a daemon advertises in `<dir>/alertd.endpoint`.
+    fn advertised(dir: &Path) -> Endpoint {
+        let text = std::fs::read_to_string(dir.join("alertd.endpoint")).unwrap();
+        match text.trim().split_once(' ') {
+            Some(("tcp", addr)) => Endpoint::Tcp(addr.parse().unwrap()),
+            #[cfg(unix)]
+            Some(("unix", path)) => Endpoint::Unix(PathBuf::from(path)),
+            _ => panic!("unexpected endpoint line {text:?}"),
+        }
+    }
+
     struct Client {
-        reader: std::io::BufReader<TcpStream>,
-        writer: TcpStream,
+        reader: BufReader<Stream>,
+        writer: Stream,
     }
 
     impl Client {
-        fn connect(dir: &std::path::Path) -> Client {
-            let text = std::fs::read_to_string(dir.join("alertd.endpoint")).unwrap();
-            let addr = text.trim().strip_prefix("tcp ").unwrap().to_owned();
-            let stream = TcpStream::connect(addr).unwrap();
+        fn connect(dir: &Path) -> Client {
+            let stream = advertised(dir).connect().unwrap();
             Client {
-                reader: std::io::BufReader::new(stream.try_clone().unwrap()),
+                reader: BufReader::new(stream.try_clone().unwrap()),
                 writer: stream,
             }
         }
@@ -1038,9 +1123,68 @@ mod tests {
             line.push('\n');
             self.writer.write_all(line.as_bytes()).unwrap();
             self.writer.flush().unwrap();
+            self.read_response()
+        }
+
+        fn read_response(&mut self) -> Response {
             let mut resp = String::new();
             self.reader.read_line(&mut resp).unwrap();
             Response::parse_line(&resp).expect("valid response line")
+        }
+    }
+
+    /// A daemon serving on a background thread; `done` yields its stats
+    /// once [`serve`] returns.
+    struct Daemon {
+        dir: PathBuf,
+        done: mpsc::Receiver<ServerStats>,
+    }
+
+    impl Daemon {
+        /// Starts a daemon and waits for its endpoint file.
+        fn start_with(config: ServerConfig) -> Daemon {
+            let dir = config.dir.clone();
+            let (tx, done) = mpsc::channel();
+            thread::spawn(move || {
+                let _ = tx.send(serve(config).unwrap());
+            });
+            for _ in 0..200 {
+                if dir.join("alertd.endpoint").exists() {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(25));
+            }
+            Daemon { dir, done }
+        }
+
+        fn start(dir: &Path) -> Daemon {
+            Daemon::start_with(ServerConfig {
+                dir: dir.to_path_buf(),
+                jobs: 1,
+                ..ServerConfig::default()
+            })
+        }
+
+        fn drain(self) -> ServerStats {
+            let mut client = Client::connect(&self.dir);
+            self.drain_on(&mut client)
+        }
+
+        /// Drains over `client` and waits at most 10 s for [`serve`] to
+        /// return, so a lost wake fails the test instead of hanging it.
+        fn drain_on(self, client: &mut Client) -> ServerStats {
+            let resp = client.roundtrip(&Request::Drain);
+            assert_eq!(resp.num_field("drained"), Some("1"), "{resp:?}");
+            let stats = self
+                .done
+                .recv_timeout(Duration::from_secs(10))
+                .expect("serve returns after the drain reply");
+            assert!(
+                !self.dir.join("alertd.endpoint").exists(),
+                "endpoint removed on drain"
+            );
+            let _ = std::fs::remove_dir_all(&self.dir);
+            stats
         }
     }
 
@@ -1063,21 +1207,12 @@ mod tests {
     /// (the kill -9 drill lives in tests/daemon_smoke.rs).
     #[test]
     fn submit_runs_to_done_and_drain_exits() {
-        let dir = scratch("e2e");
-        let config = ServerConfig {
-            dir: dir.clone(),
+        let daemon = Daemon::start_with(ServerConfig {
+            dir: scratch("e2e"),
             jobs: 2,
             ..ServerConfig::default()
-        };
-        let server = thread::spawn(move || serve(config).unwrap());
-        let endpoint = dir.join("alertd.endpoint");
-        for _ in 0..200 {
-            if endpoint.exists() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(25));
-        }
-        let mut client = Client::connect(&dir);
+        });
+        let mut client = Client::connect(&daemon.dir);
         let spec = quick_spec(1);
         let fp = spec.fingerprint();
 
@@ -1116,11 +1251,8 @@ mod tests {
         let health = client.roundtrip(&Request::Health);
         assert_eq!(health.num_field("jobs_done"), Some("1"));
 
-        let resp = client.roundtrip(&Request::Drain);
-        assert_eq!(resp.num_field("drained"), Some("1"));
-        server.join().unwrap();
-        assert!(!endpoint.exists(), "endpoint removed on drain");
-        let _ = std::fs::remove_dir_all(dir);
+        let stats = daemon.drain_on(&mut client);
+        assert_eq!(stats.completed, 1);
     }
 
     /// Admission control: with capacity 1 the second distinct job is
@@ -1132,22 +1264,13 @@ mod tests {
         // builds even large scenarios can finish between two in-process
         // round trips, so "fill the queue then submit" is inherently
         // timing-dependent.
-        let dir = scratch("busy");
-        let config = ServerConfig {
-            dir: dir.clone(),
+        let daemon = Daemon::start_with(ServerConfig {
+            dir: scratch("busy"),
             jobs: 1,
             queue_cap: 0,
             ..ServerConfig::default()
-        };
-        let server = thread::spawn(move || serve(config).unwrap());
-        let endpoint = dir.join("alertd.endpoint");
-        for _ in 0..200 {
-            if endpoint.exists() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(25));
-        }
-        let mut client = Client::connect(&dir);
+        });
+        let mut client = Client::connect(&daemon.dir);
         let resp = client.roundtrip(&Request::Submit {
             spec: quick_spec(12),
             force: false,
@@ -1171,42 +1294,93 @@ mod tests {
             other => panic!("expected bad_request, got {other:?}"),
         }
 
-        let resp = client.roundtrip(&Request::Drain);
-        assert_eq!(resp.num_field("drained"), Some("1"));
-        server.join().unwrap();
-        let _ = std::fs::remove_dir_all(dir);
+        daemon.drain_on(&mut client);
     }
 
-    /// Starts a daemon on `dir` and waits for its endpoint file.
-    fn start(dir: &std::path::Path) -> thread::JoinHandle<ServerStats> {
-        let config = ServerConfig {
-            dir: dir.to_path_buf(),
+    /// Drain wakes the blocked accept loop on every kind of bind, with
+    /// an idle client still connected, and `serve` returns only after
+    /// the drain client has its reply.
+    fn drain_returns_on(tag: &str, bind: impl FnOnce(&Path) -> BindAddr) {
+        let dir = scratch(tag);
+        let daemon = Daemon::start_with(ServerConfig {
+            bind: bind(&dir),
+            dir,
             jobs: 1,
             ..ServerConfig::default()
-        };
-        let server = thread::spawn(move || serve(config).unwrap());
-        for _ in 0..200 {
-            if dir.join("alertd.endpoint").exists() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(25));
-        }
-        server
+        });
+        let _idle = Client::connect(&daemon.dir);
+        let health = Client::connect(&daemon.dir).roundtrip(&Request::Health);
+        assert_eq!(health.num_field("draining"), Some("0"), "{health:?}");
+        daemon.drain();
     }
 
-    fn stop(dir: PathBuf, server: thread::JoinHandle<ServerStats>) {
-        let resp = Client::connect(&dir).roundtrip(&Request::Drain);
-        assert_eq!(resp.num_field("drained"), Some("1"));
-        server.join().unwrap();
-        let _ = std::fs::remove_dir_all(dir);
+    #[test]
+    fn drain_returns_on_a_loopback_tcp_bind() {
+        drain_returns_on("drain_tcp", |_| BindAddr::Tcp("127.0.0.1:0".to_owned()));
+    }
+
+    #[test]
+    fn drain_returns_on_a_wildcard_tcp_bind() {
+        drain_returns_on("drain_wildcard", |_| BindAddr::Tcp("0.0.0.0:0".to_owned()));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn drain_returns_on_a_unix_socket_bind() {
+        drain_returns_on("drain_unix", |dir| BindAddr::Unix(dir.join("alertd.sock")));
+    }
+
+    /// Sends one health request without panicking on a refused or reset
+    /// connection; `None` unless the daemon served it.
+    fn try_health(dir: &Path) -> Option<Client> {
+        let mut client = Client::connect(dir);
+        let mut line = Request::Health.to_jsonl();
+        line.push('\n');
+        client.writer.write_all(line.as_bytes()).ok()?;
+        let mut resp = String::new();
+        client.reader.read_line(&mut resp).ok()?;
+        matches!(Response::parse_line(&resp), Some(Response::Ok(_))).then_some(client)
+    }
+
+    #[test]
+    fn the_connection_cap_answers_busy_until_a_slot_frees() {
+        let daemon = Daemon::start(&scratch("cap"));
+        let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+            .map(|i| try_health(&daemon.dir).unwrap_or_else(|| panic!("connection {i} refused")))
+            .collect();
+
+        // One over the cap: a single typed line, then the close.
+        let mut refused = Client::connect(&daemon.dir);
+        match refused.read_response() {
+            Response::Err { kind, message } => {
+                assert_eq!(kind, ErrorKind::Busy);
+                assert!(message.contains("connection limit"), "{message}");
+            }
+            other => panic!("expected busy, got {other:?}"),
+        }
+        let mut rest = String::new();
+        assert_eq!(refused.reader.read_line(&mut rest).unwrap(), 0, "closed");
+
+        // Closing a held connection frees its slot once its handler
+        // sees the EOF.
+        held.pop();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut fresh = loop {
+            if let Some(client) = try_health(&daemon.dir) {
+                break client;
+            }
+            assert!(Instant::now() < deadline, "no slot freed");
+            thread::sleep(Duration::from_millis(10));
+        };
+        // The cap is full again, yet the drain's wake connection is
+        // served: the shutdown check comes first.
+        daemon.drain_on(&mut fresh);
     }
 
     /// Reads the one answer to an over-long line, then the close.
     fn expect_line_refused(client: &mut Client) {
-        let mut resp = String::new();
-        client.reader.read_line(&mut resp).unwrap();
-        match Response::parse_line(&resp) {
-            Some(Response::Err { kind, message }) => {
+        match client.read_response() {
+            Response::Err { kind, message } => {
                 assert_eq!(kind, ErrorKind::BadRequest);
                 assert!(message.contains("exceeds"), "{message}");
             }
@@ -1218,9 +1392,8 @@ mod tests {
 
     #[test]
     fn an_oversized_line_is_refused_and_the_connection_closed() {
-        let dir = scratch("long_line");
-        let server = start(&dir);
-        let mut client = Client::connect(&dir);
+        let daemon = Daemon::start(&scratch("long_line"));
+        let mut client = Client::connect(&daemon.dir);
         let line = format!(
             "{{\"op\":\"health\",\"pad\":\"{}\"}}",
             "x".repeat(MAX_LINE_BYTES)
@@ -1232,14 +1405,13 @@ mod tests {
             .write_all(&line.as_bytes()[..MAX_LINE_BYTES + 1])
             .unwrap();
         expect_line_refused(&mut client);
-        stop(dir, server);
+        daemon.drain();
     }
 
     #[test]
     fn a_newline_less_trickle_is_cut_off_at_the_line_limit() {
-        let dir = scratch("trickle");
-        let server = start(&dir);
-        let mut client = Client::connect(&dir);
+        let daemon = Daemon::start(&scratch("trickle"));
+        let mut client = Client::connect(&daemon.dir);
         let chunk = [b'x'; 4096];
         for _ in 0..MAX_LINE_BYTES / chunk.len() {
             client.writer.write_all(&chunk).unwrap();
@@ -1247,26 +1419,25 @@ mod tests {
         }
         client.writer.write_all(b"x").unwrap();
         expect_line_refused(&mut client);
-        stop(dir, server);
+        daemon.drain();
     }
 
     #[test]
     fn a_fresh_connection_is_served_after_a_refused_line() {
-        let dir = scratch("after_refusal");
-        let server = start(&dir);
-        let mut client = Client::connect(&dir);
+        let daemon = Daemon::start(&scratch("after_refusal"));
+        let mut client = Client::connect(&daemon.dir);
         client
             .writer
             .write_all(&vec![b'{'; MAX_LINE_BYTES + 1])
             .unwrap();
         expect_line_refused(&mut client);
-        let mut fresh = Client::connect(&dir);
+        let mut fresh = Client::connect(&daemon.dir);
         match fresh.roundtrip(&Request::Status { job: 42 }) {
             Response::Err { kind, .. } => assert_eq!(kind, ErrorKind::NotFound),
             other => panic!("expected not_found, got {other:?}"),
         }
         let health = fresh.roundtrip(&Request::Health);
         assert_eq!(health.num_field("requests"), Some("2"), "{health:?}");
-        stop(dir, server);
+        daemon.drain_on(&mut fresh);
     }
 }

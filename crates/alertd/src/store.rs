@@ -145,8 +145,7 @@ impl ResultStore {
         let prev = self
             .versions(fp)
             .into_iter()
-            .filter(|&v| v < cur)
-            .next_back()
+            .rfind(|&v| v < cur)
             .ok_or_else(|| other("no older version to roll back to"))?;
         self.set_current(fp, prev)?;
         Ok(prev)
@@ -209,7 +208,7 @@ impl ResultStore {
 }
 
 fn other(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::Other, msg)
+    io::Error::other(msg)
 }
 
 #[cfg(test)]

@@ -60,6 +60,19 @@ fn ctl(bin: &Path, dir: &Path, args: &[&str]) -> Output {
         .expect("spawn alertctl")
 }
 
+/// `alertctl drain`: exits 0 and prints the daemon's `drained` reply,
+/// which the daemon writes before its accept loop may return.
+fn drain(bin: &Path, dir: &Path) {
+    let out = ctl(bin, dir, &["drain"]);
+    assert!(
+        out.status.success(),
+        "drain: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"drained\":1"), "drain reply: {stdout}");
+}
+
 fn submit_args(seed: &str) -> Vec<&str> {
     vec![
         "submit",
@@ -133,12 +146,7 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let out = ctl(&ctl_bin, &ref_dir, &["drain"]);
-    assert!(
-        out.status.success(),
-        "drain: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    drain(&ctl_bin, &ref_dir);
     assert!(d.wait().expect("wait").success(), "clean daemon exit");
     let reference = snapshot_results(&ref_dir);
     assert!(!reference.is_empty(), "reference produced artifacts");
@@ -185,8 +193,7 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let out = ctl(&ctl_bin, &crash_dir, &["drain"]);
-    assert!(out.status.success(), "drain after recovery");
+    drain(&ctl_bin, &crash_dir);
     assert!(d.wait().expect("wait").success());
 
     // Byte-identical results, exactly one done per job, no extra
@@ -258,14 +265,7 @@ fn busy_queue_and_second_daemon_both_exit_two() {
     assert_eq!(count_journal(&dir, "submit"), 0);
 
     // Draining the closed daemon exits 0 with nothing to settle.
-    let out = ctl(&ctl_bin, &dir, &["drain"]);
-    assert!(
-        out.status.success(),
-        "drain: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"drained\":1"), "{stdout}");
+    drain(&ctl_bin, &dir);
     assert!(d.wait().expect("wait").success(), "drained daemon exits 0");
 
     // --- Phase 2: normal queue — drain settles every admitted job. ---
@@ -293,14 +293,7 @@ fn busy_queue_and_second_daemon_both_exit_two() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let out = ctl(&ctl_bin, &dir, &["drain"]);
-    assert!(
-        out.status.success(),
-        "drain: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"drained\":1"), "{stdout}");
+    drain(&ctl_bin, &dir);
     assert!(d.wait().expect("wait").success(), "drained daemon exits 0");
 
     // No leases lost: everything admitted reached a terminal record.

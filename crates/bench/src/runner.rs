@@ -255,6 +255,10 @@ pub(crate) fn quarantine(record: FailureRecord) {
 }
 
 /// Which routing protocol a sweep point runs.
+// The `#[doc(hidden)]` variant below is a real, constructed protocol that
+// is kept out of the docs, not a marker standing in for
+// `#[non_exhaustive]`.
+#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ProtocolChoice {
     /// ALERT with the given parameters.
@@ -473,13 +477,13 @@ where
     if let Some(every) = metrics_every {
         w.enable_metrics_timeseries(every);
     }
-    let ran = if postmortem.is_some() {
+    let ran = if let Some(pm) = &postmortem {
         // Catch a panic only long enough to flush the ring tail, then
         // let it keep unwinding: the caller's panic policy is unchanged.
         match catch_unwind(AssertUnwindSafe(|| w.try_run())) {
             Ok(r) => r,
             Err(payload) => {
-                dump_postmortem(postmortem.as_ref().expect("postmortem set"), ring.as_ref());
+                dump_postmortem(pm, ring.as_ref());
                 std::panic::resume_unwind(payload);
             }
         }
@@ -832,7 +836,7 @@ mod tests {
         assert_eq!(s.mean, 2.0);
         assert_eq!(s.n, 2);
         assert_eq!(s.discarded, 1);
-        assert!(nan_samples_total() >= before + 1);
+        assert!(nan_samples_total() > before);
         assert!(format!("{s}").contains("[1 NaN dropped]"));
     }
 

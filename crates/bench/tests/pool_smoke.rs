@@ -4,7 +4,7 @@
 //! points, orphaned leases are reported and reclaimed, and the advisory
 //! directory lock keeps a second orchestrator out.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn repro_bin() -> PathBuf {
@@ -31,7 +31,7 @@ fn stderr_of(out: &Output) -> String {
 /// Analytic experiments: fast, deterministic, no Monte-Carlo sweeps.
 const CAMPAIGN: [&str; 3] = ["fig7a", "fig9a", "fig9b"];
 
-fn run_campaign(bin: &PathBuf, dir: &PathBuf, jobs: &str, extra: &[&str]) -> Output {
+fn run_campaign(bin: &PathBuf, dir: &Path, jobs: &str, extra: &[&str]) -> Output {
     let mut args: Vec<&str> = CAMPAIGN.to_vec();
     let d = dir.to_str().unwrap();
     args.extend_from_slice(&["--runs", "3", "--csv", d, "--jobs", jobs]);

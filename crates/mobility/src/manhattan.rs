@@ -376,10 +376,10 @@ mod tests {
         let before = m.positions();
         let dt = 2.0;
         m.step(dt);
-        for i in 0..m.len() {
+        for (i, start) in before.iter().enumerate() {
             // Street travel can bend around corners, so Euclidean
             // displacement is at most the path budget.
-            let d = before[i].distance(m.position(i));
+            let d = start.distance(m.position(i));
             assert!(
                 d <= m.config().speed * dt + 1e-6,
                 "node {i} moved {d} > {}",

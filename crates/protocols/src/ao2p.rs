@@ -92,8 +92,8 @@ impl Ao2p {
         let neighbors = api.neighbors();
         let me = api.my_pos();
         let wire = msg.bytes + AO2P_HEADER_BYTES;
-        let next = neighbor_by_pseudonym(&neighbors, msg.dst)
-            .or_else(|| greedy_next_hop(me, msg.proxy_target, &neighbors));
+        let next = neighbor_by_pseudonym(neighbors, msg.dst)
+            .or_else(|| greedy_next_hop(me, msg.proxy_target, neighbors));
         if let Some(n) = next {
             // Hop-by-hop encryption for the winning next hop.
             api.charge_pk_encrypt(1);

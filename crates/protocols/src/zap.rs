@@ -117,7 +117,7 @@ impl Zap {
             }
             return;
         }
-        match greedy_next_hop(me, msg.zone.center(), &api.neighbors()) {
+        match greedy_next_hop(me, msg.zone.center(), api.neighbors()) {
             Some(n) => {
                 api.mark_hop(msg.packet);
                 api.send_unicast(

@@ -285,13 +285,8 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
-    // The tests below keep the names they had when the queue was a
-    // calendar (an overflow ladder for far-future events, year rolls,
-    // retunes, fat-day splits), so their IDs stay stable; each still pins
-    // the pop order of the event-time shape it was written for.
-
     #[test]
-    fn far_future_events_ride_the_overflow_ladder() {
+    fn far_future_events_pop_after_near_ones() {
         let mut q = EventQueue::new();
         q.schedule(0.5, 1);
         q.schedule(100_000.0, 4);
@@ -302,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn year_rolls_preserve_fifo_within_an_instant() {
+    fn a_far_future_instant_pops_fifo() {
         let mut q = EventQueue::new();
         q.schedule(0.0, -1);
         for i in 0..10 {
@@ -314,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn growth_retunes_keep_order_under_load() {
+    fn growing_waves_with_interleaved_pops_keep_order() {
         // Push ever larger waves, interleaving pops, and check against a
         // sorted reference of the surviving population.
         let mut q = EventQueue::new();
@@ -390,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn massive_same_instant_burst_stays_fifo_through_retunes() {
+    fn a_large_same_instant_burst_pops_fifo() {
         let mut q = EventQueue::new();
         for i in 0..5_000 {
             q.schedule(3.0, i);
@@ -401,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn draining_and_refilling_reanchors_the_year() {
+    fn refilling_an_empty_queue_far_ahead_pops_it_next() {
         let mut q = EventQueue::new();
         q.schedule(5.0, 1);
         q.pop();
@@ -416,7 +411,7 @@ mod tests {
     /// shape, must pop in exactly the `(time, seq)` order of the flat
     /// model, including a same-instant cluster inside the burst.
     #[test]
-    fn fat_day_split_preserves_pop_order() {
+    fn a_dense_burst_among_sparse_timers_keeps_pop_order() {
         let mut q = EventQueue::new();
         let mut model: Vec<(f64, u64)> = Vec::new();
         for i in 0..8u64 {

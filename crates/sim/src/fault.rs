@@ -187,8 +187,7 @@ impl FaultPlan {
             }
         }
         for r in &self.regional_outages {
-            if !(r.x.is_finite() && r.y.is_finite())
-                || !(r.w.is_finite() && r.h.is_finite())
+            if !(r.x.is_finite() && r.y.is_finite() && r.w.is_finite() && r.h.is_finite())
                 || r.w < 0.0
                 || r.h < 0.0
             {

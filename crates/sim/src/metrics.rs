@@ -499,8 +499,10 @@ mod tests {
     fn energy_per_delivered_is_nan_without_deliveries() {
         // The documented exception: energy cannot be amortized over zero
         // delivered packets, and 0.0 would misread as "free".
-        let mut m = Metrics::default();
-        m.energy_tx_j = 3.0;
+        let mut m = Metrics {
+            energy_tx_j: 3.0,
+            ..Metrics::default()
+        };
         assert!(m
             .energy_per_delivered_packet_j(&alert_crypto::CostModel::PAPER_1_8GHZ, 0.5)
             .is_nan());

@@ -1832,7 +1832,7 @@ impl<P: ProtocolNode> World<P> {
         if let Some(cap) = budget.max_wall_seconds {
             // Amortized: Instant::now() is syscall-backed, so only probe
             // every WALL_CHECK_INTERVAL events.
-            if self.events_dispatched % WALL_CHECK_INTERVAL == 0 {
+            if self.events_dispatched.is_multiple_of(WALL_CHECK_INTERVAL) {
                 if let Some(start) = self.wall_start {
                     if start.elapsed().as_secs_f64() > cap {
                         return Err(RunAbort::WallClockExceeded {

@@ -37,12 +37,14 @@ fn exotic_scenario_roundtrips() {
 
 #[test]
 fn budgeted_scenario_roundtrips() {
-    let mut cfg = ScenarioConfig::default();
-    cfg.budget = RunBudget {
-        max_events: Some(1_000_000),
-        max_sim_seconds: Some(300.0),
-        max_wall_seconds: Some(60.0),
-        max_events_per_instant: Some(10_000),
+    let cfg = ScenarioConfig {
+        budget: RunBudget {
+            max_events: Some(1_000_000),
+            max_sim_seconds: Some(300.0),
+            max_wall_seconds: Some(60.0),
+            max_events_per_instant: Some(10_000),
+        },
+        ..ScenarioConfig::default()
     };
     assert_eq!(roundtrip(&cfg), cfg);
 }

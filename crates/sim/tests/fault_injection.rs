@@ -251,7 +251,7 @@ fn arq_disabled_by_default_drops_immediately() {
     assert!(snap
         .histograms
         .get("link.retries")
-        .map_or(true, |h| h.count == 0));
+        .is_none_or(|h| h.count == 0));
 }
 
 #[test]

@@ -143,11 +143,9 @@ fn same_instant_bursts_stay_fifo() {
 }
 
 /// Mixes dominated by far-future times: events scheduled far ahead
-/// wait behind near ones and surface in order once those drain. (The
-/// name is from the calendar queue, where such events rode an overflow
-/// ladder; it is kept so the test's ID stays stable.)
+/// wait behind near ones and surface in order once those drain.
 #[test]
-fn overflow_ladder_migration_matches() {
+fn far_future_mixes_match_the_reference() {
     check(256, 0, |rng| {
         let ops: Vec<Op> = (0..rng.gen_range(1..200))
             .map(|_| match rng.gen_range(0..8) {

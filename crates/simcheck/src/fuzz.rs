@@ -79,14 +79,15 @@ fn honest_protocol(rng: &mut StdRng) -> ProtocolChoice {
 pub fn gen_case(master_seed: u64, index: usize, plant: Plant) -> Case {
     let seed = splitmix64(master_seed ^ splitmix64(index as u64));
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut cfg = ScenarioConfig::default();
-
     // Geometry: mostly small-to-mid worlds (fast cases), with a
     // degenerate-corner bias toward 1–3 nodes.
-    cfg.nodes = if rng.gen_bool(0.15) {
-        rng.gen_range(1..=3)
-    } else {
-        rng.gen_range(4..=60)
+    let mut cfg = ScenarioConfig {
+        nodes: if rng.gen_bool(0.15) {
+            rng.gen_range(1..=3)
+        } else {
+            rng.gen_range(4..=60)
+        },
+        ..ScenarioConfig::default()
     };
     cfg.traffic.pairs = if cfg.nodes < 2 || rng.gen_bool(0.10) {
         0 // zero-traffic corner: beacons, rotations and faults only
@@ -234,8 +235,8 @@ pub fn gen_case(master_seed: u64, index: usize, plant: Plant) -> Case {
     }
 
     let protocol = match plant {
-        Plant::Leak if index % 4 == 0 => ProtocolChoice::LeakyNodeId,
-        Plant::Insider if index % 4 == 0 => {
+        Plant::Leak if index.is_multiple_of(4) => ProtocolChoice::LeakyNodeId,
+        Plant::Insider if index.is_multiple_of(4) => {
             cfg = insider_drill_scenario();
             ProtocolChoice::Gpsr
         }

@@ -126,7 +126,7 @@ impl MetricsTimeseries {
     /// counter decreases (registry counters are monotone).
     pub fn record(&mut self, t: f64, snap: &RegistrySnapshot) {
         debug_assert!(
-            self.samples.last().map_or(true, |s| t > s.t),
+            self.samples.last().is_none_or(|s| t > s.t),
             "timeseries sample times must be strictly increasing"
         );
         let prev = self.samples.last().map(|s| &s.counters);

@@ -78,8 +78,8 @@ fn main() {
 
     let packets = reconstruct_packets(&events);
     println!(
-        "{:>4} {:>8} {:>9} {:>5} {:>4} {:>6}  {}",
-        "pkt", "sent", "fate", "hops", "RFs", "splits", "hop path (node ids, [dst] = receive-only)"
+        "{:>4} {:>8} {:>9} {:>5} {:>4} {:>6}  hop path (node ids, [dst] = receive-only)",
+        "pkt", "sent", "fate", "hops", "RFs", "splits"
     );
     for (id, p) in &packets {
         println!(
