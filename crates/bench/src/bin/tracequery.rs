@@ -38,7 +38,7 @@
 
 use alert_adversary::anonymity_timeseries;
 use alert_sim::{
-    filter_events, follow_packet, parse_trace, render_events_csv, render_events_jsonl,
+    filter_events, follow_packet, parse_trace, push_f64, render_events_csv, render_events_jsonl,
     render_windows_csv, render_windows_json, window_aggregates, EventFilter, MetricsTimeseries,
     TraceEvent,
 };
@@ -302,12 +302,6 @@ fn cmd_rates(args: &[String]) {
         }
     }
     print!("{out}");
-}
-
-/// Shortest-round-trip float rendering, matching the trace codec.
-fn push_f64(out: &mut String, v: f64) {
-    debug_assert!(v.is_finite());
-    let _ = write!(out, "{v:?}");
 }
 
 /// `usize::MAX` means "never observed" — rendered as an empty CSV cell.

@@ -52,7 +52,7 @@ pub use runtime::{FrameAudit, Observer, Session, TxEvent, World};
 // Re-export the observability vocabulary so downstream crates (bench,
 // examples, tests) can speak it without a separate alert-trace dependency.
 pub use alert_trace::{
-    filter_events, follow_packet, parse_trace, render_events_csv, render_events_jsonl,
+    filter_events, follow_packet, parse_trace, push_f64, render_events_csv, render_events_jsonl,
     render_windows_csv, render_windows_json, window_aggregates, DropReason, EventFilter, JsonlSink,
     MetricsTimeseries, NullSink, ParseError, RegistrySnapshot, RingBufferHandle, RingBufferSink,
     RunProfile, SharedBuf, TeeSink, TimeseriesSample, TraceEvent, TraceSink, WindowAggregate,

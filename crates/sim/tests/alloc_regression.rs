@@ -7,7 +7,8 @@
 //! collect-into-fresh-Vec implementation costs.
 
 use alert_sim::{
-    Api, DataRequest, Frame, ProtocolNode, ScenarioConfig, TimerToken, TrafficClass, World,
+    Api, DataRequest, Frame, JsonlSink, ProtocolNode, ScenarioConfig, TimerToken, TrafficClass,
+    World,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,6 +237,25 @@ impl ProtocolNode for Beacon {
     }
 }
 
+/// Broadcast frames sent and allocations made while 120 beaconing
+/// nodes run from 40 s to 90 s, with or without a JSONL trace streaming
+/// into `io::sink()` from the start.
+fn beacon_allocs(traced: bool) -> (u64, u64) {
+    let mut cfg = ScenarioConfig::default()
+        .with_nodes(120)
+        .with_duration(100.0);
+    cfg.traffic.pairs = 0;
+    let mut w = World::new(cfg, 0xA110C, |_, _| Beacon);
+    if traced {
+        w.set_trace_sink(Box::new(JsonlSink::new(std::io::sink())));
+    }
+    w.run_until(40.0);
+    let (frames, before) = (w.counter("tx.broadcast"), allocs());
+    w.run_until(90.0);
+    let during = allocs() - before;
+    (w.counter("tx.broadcast") - frames, during)
+}
+
 #[test]
 fn broadcast_delivery_allocates_nothing_per_frame() {
     let _serial = serial();
@@ -243,20 +263,31 @@ fn broadcast_delivery_allocates_nothing_per_frame() {
     // 100k receiver deliveries on the air over the measured 50 s. A
     // delivery path that allocated per frame (say, a fresh receiver list)
     // or per receiver would cost at least 12000 allocations.
-    let mut cfg = ScenarioConfig::default()
-        .with_nodes(120)
-        .with_duration(100.0);
-    cfg.traffic.pairs = 0;
-    let mut w = World::new(cfg, 0xA110C, |_, _| Beacon);
-    w.run_until(40.0);
-    let (frames, before) = (w.counter("tx.broadcast"), allocs());
-    w.run_until(90.0);
-    let during = allocs() - before;
-    let frames = w.counter("tx.broadcast") - frames;
+    let (frames, during) = beacon_allocs(false);
     assert!(frames >= 12_000, "only {frames} broadcasts measured");
     assert!(
         during < 500,
         "{during} allocations over {frames} broadcast frames in 50 simulated \
          seconds; broadcast delivery is allocating per frame"
+    );
+}
+
+#[test]
+fn traced_broadcasts_encode_without_allocating_per_event() {
+    let _serial = serial();
+    // The same load traced: about 100k `rx` lines, 12000 `tx` lines and
+    // some 12000 distinct times over the measured 50 s. The sink reuses
+    // one line buffer and its encoder keeps the last `t` and `at` texts
+    // inline, so tracing adds no allocations to a warmed world (none on
+    // the `write!` encoder before it either). An encoder that allocated
+    // per line, or per newly formatted time, would add at least 12000.
+    let (_, plain) = beacon_allocs(false);
+    let (frames, traced) = beacon_allocs(true);
+    assert!(frames >= 12_000, "only {frames} broadcasts measured");
+    assert!(
+        traced <= plain + 32,
+        "{traced} allocations traced against {plain} untraced over {frames} \
+         broadcast frames in 50 simulated seconds; trace encoding is \
+         allocating per event"
     );
 }

@@ -9,6 +9,18 @@
 //!
 //! Lines are tokenized by the workspace's one JSON codec
 //! ([`crate::json`]).
+//!
+//! Encoding goes through one [`JsonlEncoder`]. It writes each
+//! `,"key":` and the `"ev":"…"` tag as literal pieces, integers by a
+//! digit loop into a stack buffer, and floats through `{v:?}`. Its only
+//! state is the rendered text of the last `"t"` and the last `"at"`,
+//! each keyed on the float's bits: in a simulator trace nearly every
+//! line repeats the previous line's time, and a broadcast's receivers
+//! all repeat its send time, so those two floats are formatted once per
+//! change instead of once per line. The state changes how fast a line
+//! is written, never its bytes: [`TraceEvent::write_jsonl`] is a fresh
+//! encoder, and a stream through one encoder is the concatenation of
+//! per-event `write_jsonl` lines.
 
 use crate::event::{CryptoOp, TickKind, TraceEvent, TrafficKind, TxKind};
 use crate::json::{parse_object, push_str_escaped, Val};
@@ -19,46 +31,92 @@ use std::fmt::Write as _;
 // Encoding
 // ---------------------------------------------------------------------
 
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    // `{:?}` is Rust's shortest representation that round-trips; finite
-    // values are always valid JSON numbers.
+/// Appends `v` in Rust's shortest round-trip form (`{v:?}`), the one
+/// float rendering of the trace codec and of everything rendered from a
+/// trace (`tracequery`, the timeseries).
+pub fn push_f64(out: &mut String, v: f64) {
+    // Finite values are always valid JSON numbers.
     debug_assert!(v.is_finite(), "trace times/values must be finite");
     let _ = write!(out, "{v:?}");
 }
 
-pub(crate) fn field_u64(out: &mut String, key: &str, v: u64) {
-    let _ = write!(out, ",\"{key}\":{v}");
+/// Appends `v` in decimal, by a digit loop into a stack buffer.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
-pub(crate) fn field_f64(out: &mut String, key: &str, v: f64) {
-    let _ = write!(out, ",\"{key}\":");
-    push_f64(out, v);
+/// `,"key":` as one literal piece.
+macro_rules! key {
+    ($k:literal) => {
+        concat!(",\"", $k, "\":")
+    };
 }
 
-pub(crate) fn field_str(out: &mut String, key: &str, v: &str) {
-    let _ = write!(out, ",\"{key}\":");
-    push_str_escaped(out, v);
+/// The text of the last float written through it, keyed on its bits:
+/// `0.0` and `-0.0` (and any two NaN payloads) render differently, so
+/// equal values are not enough for a hit.
+#[derive(Debug, Default)]
+struct CachedF64 {
+    bits: Option<u64>,
+    len: usize,
+    /// `{v:?}` of any `f64` is at most 24 bytes
+    /// (`-2.2250738585072014e-308`).
+    text: [u8; 24],
 }
 
-fn field_bool(out: &mut String, key: &str, v: bool) {
-    let _ = write!(out, ",\"{key}\":{v}");
-}
-
-fn field_opt_u64(out: &mut String, key: &str, v: Option<u64>) {
-    if let Some(v) = v {
-        field_u64(out, key, v);
+impl CachedF64 {
+    fn push(&mut self, out: &mut String, v: f64) {
+        let bits = v.to_bits();
+        if self.bits == Some(bits) {
+            out.push_str(std::str::from_utf8(&self.text[..self.len]).expect("cached float text"));
+            return;
+        }
+        let start = out.len();
+        push_f64(out, v);
+        let text = &out.as_bytes()[start..];
+        self.text[..text.len()].copy_from_slice(text);
+        self.len = text.len();
+        self.bits = Some(bits);
     }
 }
 
-impl TraceEvent {
-    /// Appends the event's canonical JSONL encoding (without the trailing
+/// The JSONL trace encoder.
+///
+/// Encoding is a pure function of the event; the encoder only remembers
+/// the rendered text of the last `"t"` and the last `"at"` (an `rx`
+/// line's send time), and formats a float again only when its bits
+/// change. Most lines repeat both: events at one instant share `"t"`,
+/// and a broadcast's receivers are all traced at send time with one
+/// `"at"`. So one encoder per stream (as [`crate::JsonlSink`] keeps)
+/// writes exactly the bytes of [`TraceEvent::write_jsonl`] per line,
+/// only faster; a fresh encoder is what `write_jsonl` uses.
+#[derive(Debug, Default)]
+pub struct JsonlEncoder {
+    t: CachedF64,
+    at: CachedF64,
+}
+
+impl JsonlEncoder {
+    /// Appends the canonical encoding of `event` (without the trailing
     /// newline) to `out`.
-    pub fn write_jsonl(&self, out: &mut String) {
+    pub fn encode(&mut self, event: &TraceEvent, out: &mut String) {
         out.push_str("{\"t\":");
-        push_f64(out, self.time());
-        let _ = write!(out, ",\"ev\":\"{}\"", self.kind());
-        match self {
-            TraceEvent::Tick { kind, .. } => field_str(out, "kind", kind.as_str()),
+        self.t.push(out, event.time());
+        out.push_str(",\"ev\":\"");
+        out.push_str(event.kind());
+        out.push('"');
+        match event {
+            TraceEvent::Tick { kind, .. } => str_field(out, key!("kind"), kind.as_str()),
             TraceEvent::AppSend {
                 packet,
                 session,
@@ -67,11 +125,11 @@ impl TraceEvent {
                 dst,
                 ..
             } => {
-                field_u64(out, "packet", *packet);
-                field_u64(out, "session", *session);
-                field_u64(out, "seq", *seq);
-                field_u64(out, "src", *src);
-                field_u64(out, "dst", *dst);
+                u64_field(out, key!("packet"), *packet);
+                u64_field(out, key!("session"), *session);
+                u64_field(out, key!("seq"), *seq);
+                u64_field(out, key!("src"), *src);
+                u64_field(out, key!("dst"), *dst);
             }
             TraceEvent::Tx {
                 node,
@@ -81,11 +139,11 @@ impl TraceEvent {
                 packet,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_str(out, "kind", kind.as_str());
-                field_str(out, "class", class.as_str());
-                field_u64(out, "bytes", *bytes);
-                field_opt_u64(out, "packet", *packet);
+                u64_field(out, key!("node"), *node);
+                str_field(out, key!("kind"), kind.as_str());
+                str_field(out, key!("class"), class.as_str());
+                u64_field(out, key!("bytes"), *bytes);
+                opt_u64_field(out, key!("packet"), *packet);
             }
             TraceEvent::Rx {
                 node,
@@ -94,10 +152,11 @@ impl TraceEvent {
                 at,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_str(out, "kind", kind.as_str());
-                field_u64(out, "bytes", *bytes);
-                field_f64(out, "at", *at);
+                u64_field(out, key!("node"), *node);
+                str_field(out, key!("kind"), kind.as_str());
+                u64_field(out, key!("bytes"), *bytes);
+                out.push_str(key!("at"));
+                self.at.push(out, *at);
             }
             TraceEvent::Drop {
                 node,
@@ -105,13 +164,13 @@ impl TraceEvent {
                 packet,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_str(out, "reason", reason);
-                field_opt_u64(out, "packet", *packet);
+                u64_field(out, key!("node"), *node);
+                str_field(out, key!("reason"), reason);
+                opt_u64_field(out, key!("packet"), *packet);
             }
             TraceEvent::TimerFire { node, token, .. } => {
-                field_u64(out, "node", *node);
-                field_u64(out, "token", *token);
+                u64_field(out, key!("node"), *node);
+                u64_field(out, key!("token"), *token);
             }
             TraceEvent::LocationLookup {
                 node,
@@ -119,17 +178,17 @@ impl TraceEvent {
                 found,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_u64(out, "target", *target);
-                field_bool(out, "found", *found);
+                u64_field(out, key!("node"), *node);
+                u64_field(out, key!("target"), *target);
+                bool_field(out, key!("found"), *found);
             }
             TraceEvent::CryptoCharge { node, op, n, .. } => {
-                field_u64(out, "node", *node);
-                field_str(out, "op", op.as_str());
-                field_u64(out, "n", *n);
+                u64_field(out, key!("node"), *node);
+                str_field(out, key!("op"), op.as_str());
+                u64_field(out, key!("n"), *n);
             }
             TraceEvent::PseudonymRotation { node, .. } => {
-                field_u64(out, "node", *node);
+                u64_field(out, key!("node"), *node);
             }
             TraceEvent::ZonePartition {
                 node,
@@ -139,11 +198,11 @@ impl TraceEvent {
                 td_y,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_u64(out, "packet", *packet);
-                field_u64(out, "splits", *splits);
-                field_f64(out, "td_x", *td_x);
-                field_f64(out, "td_y", *td_y);
+                u64_field(out, key!("node"), *node);
+                u64_field(out, key!("packet"), *packet);
+                u64_field(out, key!("splits"), *splits);
+                f64_field(out, key!("td_x"), *td_x);
+                f64_field(out, key!("td_y"), *td_y);
             }
             TraceEvent::ForwarderSelect {
                 node,
@@ -153,16 +212,16 @@ impl TraceEvent {
                 progress,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_opt_u64(out, "packet", *packet);
-                field_f64(out, "target_x", *target_x);
-                field_f64(out, "target_y", *target_y);
-                field_bool(out, "progress", *progress);
+                u64_field(out, key!("node"), *node);
+                opt_u64_field(out, key!("packet"), *packet);
+                f64_field(out, key!("target_x"), *target_x);
+                f64_field(out, key!("target_y"), *target_y);
+                bool_field(out, key!("progress"), *progress);
             }
             TraceEvent::Hop { node, packet, .. }
             | TraceEvent::RandomForwarder { node, packet, .. } => {
-                field_u64(out, "node", *node);
-                field_u64(out, "packet", *packet);
+                u64_field(out, key!("node"), *node);
+                u64_field(out, key!("packet"), *packet);
             }
             TraceEvent::Delivered {
                 node,
@@ -170,12 +229,12 @@ impl TraceEvent {
                 latency,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_u64(out, "packet", *packet);
-                field_f64(out, "latency", *latency);
+                u64_field(out, key!("node"), *node);
+                u64_field(out, key!("packet"), *packet);
+                f64_field(out, key!("latency"), *latency);
             }
             TraceEvent::NodeDown { node, .. } | TraceEvent::NodeUp { node, .. } => {
-                field_u64(out, "node", *node);
+                u64_field(out, key!("node"), *node);
             }
             TraceEvent::LinkRetry {
                 node,
@@ -183,16 +242,53 @@ impl TraceEvent {
                 attempt,
                 ..
             } => {
-                field_u64(out, "node", *node);
-                field_opt_u64(out, "packet", *packet);
-                field_u64(out, "attempt", *attempt);
+                u64_field(out, key!("node"), *node);
+                opt_u64_field(out, key!("packet"), *packet);
+                u64_field(out, key!("attempt"), *attempt);
             }
             TraceEvent::RunAborted { reason, events, .. } => {
-                field_str(out, "reason", reason);
-                field_u64(out, "events", *events);
+                str_field(out, key!("reason"), reason);
+                u64_field(out, key!("events"), *events);
             }
         }
         out.push('}');
+    }
+}
+
+// Each `key` is a whole `,"name":` piece, as built by `key!`.
+
+fn u64_field(out: &mut String, key: &str, v: u64) {
+    out.push_str(key);
+    push_u64(out, v);
+}
+
+fn opt_u64_field(out: &mut String, key: &str, v: Option<u64>) {
+    if let Some(v) = v {
+        u64_field(out, key, v);
+    }
+}
+
+fn f64_field(out: &mut String, key: &str, v: f64) {
+    out.push_str(key);
+    push_f64(out, v);
+}
+
+fn str_field(out: &mut String, key: &str, v: &str) {
+    out.push_str(key);
+    push_str_escaped(out, v);
+}
+
+fn bool_field(out: &mut String, key: &str, v: bool) {
+    out.push_str(key);
+    out.push_str(if v { "true" } else { "false" });
+}
+
+impl TraceEvent {
+    /// Appends the event's canonical JSONL encoding (without the trailing
+    /// newline) to `out`, through a fresh [`JsonlEncoder`]. To encode a
+    /// stream of events, keep one encoder instead.
+    pub fn write_jsonl(&self, out: &mut String) {
+        JsonlEncoder::default().encode(self, out);
     }
 
     /// The event's canonical JSONL encoding (without the trailing newline).

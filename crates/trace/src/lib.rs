@@ -55,7 +55,7 @@ mod timeseries;
 
 pub use event::{CryptoOp, DropReason, TickKind, TraceEvent, TrafficKind, TxKind};
 pub use json::{parse_object, push_str_escaped, Val};
-pub use jsonl::{parse_trace, ParseError};
+pub use jsonl::{parse_trace, push_f64, JsonlEncoder, ParseError};
 pub use profile::{CallbackProfile, RunProfile};
 pub use query::{
     filter_events, follow_packet, render_events_csv, render_events_jsonl, render_windows_csv,

@@ -14,7 +14,7 @@
 //! simulated seconds, with window 0 additionally including `t = 0`.
 
 use crate::event::TraceEvent;
-use crate::jsonl::push_f64;
+use crate::jsonl::{push_f64, JsonlEncoder};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -170,8 +170,9 @@ pub fn window_aggregates(events: &[TraceEvent], every_s: f64) -> Vec<WindowAggre
 /// the stored trace lines they came from.
 pub fn render_events_jsonl(events: &[&TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
+    let mut encoder = JsonlEncoder::default();
     for e in events {
-        e.write_jsonl(&mut out);
+        encoder.encode(e, &mut out);
         out.push('\n');
     }
     out

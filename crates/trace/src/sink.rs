@@ -7,6 +7,7 @@
 //! the "≤ 5% overhead" budget.
 
 use crate::event::TraceEvent;
+use crate::jsonl::JsonlEncoder;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -40,11 +41,13 @@ impl TraceSink for NullSink {
 /// Streams events as JSON Lines to any [`Write`] target.
 ///
 /// Each event becomes exactly one `\n`-terminated line in the canonical
-/// encoding from [`TraceEvent::to_jsonl`]. I/O errors are latched (first
+/// encoding from [`TraceEvent::to_jsonl`], written by one
+/// [`JsonlEncoder`] for the whole stream. I/O errors are latched (first
 /// error kept, later writes skipped) rather than panicking mid-run;
 /// check [`JsonlSink::error`] after the run.
 pub struct JsonlSink<W: Write> {
     writer: W,
+    encoder: JsonlEncoder,
     line: String,
     error: Option<io::Error>,
 }
@@ -61,6 +64,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         Self {
             writer,
+            encoder: JsonlEncoder::default(),
             line: String::with_capacity(128),
             error: None,
         }
@@ -87,7 +91,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
             return;
         }
         self.line.clear();
-        event.write_jsonl(&mut self.line);
+        self.encoder.encode(event, &mut self.line);
         self.line.push('\n');
         if let Err(e) = self.writer.write_all(self.line.as_bytes()) {
             self.error = Some(e);
@@ -188,9 +192,11 @@ impl RingBufferHandle {
 
     /// The buffered events rendered as a JSONL document.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.events() {
-            e.write_jsonl(&mut out);
+        let buf = self.buf.lock().expect("ring buffer poisoned");
+        let mut out = String::with_capacity(buf.len() * 96);
+        let mut encoder = JsonlEncoder::default();
+        for e in buf.iter() {
+            encoder.encode(e, &mut out);
             out.push('\n');
         }
         out

@@ -66,16 +66,20 @@ impl TimeseriesSample {
         out.push_str("{\"t\":");
         jsonl::push_f64(out, self.t);
         for (name, v) in &self.counters {
-            jsonl::field_u64(out, &format!("c:{name}"), *v);
+            push_key(out, ",\"c:", name);
+            jsonl::push_u64(out, *v);
         }
         for (name, v) in &self.deltas {
-            jsonl::field_u64(out, &format!("d:{name}"), *v);
+            push_key(out, ",\"d:", name);
+            jsonl::push_u64(out, *v);
         }
         for (name, v) in &self.hist_count {
-            jsonl::field_u64(out, &format!("hc:{name}"), *v);
+            push_key(out, ",\"hc:", name);
+            jsonl::push_u64(out, *v);
         }
         for (name, v) in &self.hist_sum {
-            jsonl::field_f64(out, &format!("hs:{name}"), *v);
+            push_key(out, ",\"hs:", name);
+            jsonl::push_f64(out, *v);
         }
         out.push('}');
     }
@@ -90,6 +94,14 @@ impl TimeseriesSample {
             .get(counter)
             .map_or(0.0, |&d| d as f64 / every_s)
     }
+}
+
+/// Writes `{prefix}{name}":`, the key of one sample field. Registry
+/// names are plain identifiers, written as they are.
+fn push_key(out: &mut String, prefix: &str, name: &str) {
+    out.push_str(prefix);
+    out.push_str(name);
+    out.push_str("\":");
 }
 
 /// An append-only series of periodic registry samples plus the sampling
