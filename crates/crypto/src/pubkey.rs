@@ -5,13 +5,13 @@
 //! key, encrypting the Bitmap — Sections 2.5, 2.6, 3.3) and measures RSA
 //! at 200–300 ms per operation on a 1.8 GHz CPU (Section 5.2).
 //!
-//! We implement real textbook RSA with 32-bit primes: key generation
-//! (Miller–Rabin), encryption/decryption by modular exponentiation, and
-//! blockwise payload handling. A 64-bit modulus is factorable in
-//! microseconds, so this is functional-but-toy by construction; the
-//! *latency* of production RSA is charged separately through
-//! [`crate::cost::CostModel`], which is the only way crypto strength enters
-//! the paper's evaluation.
+//! We implement real textbook RSA with 31-bit primes: key generation
+//! (an exact 32-bit Miller–Rabin test), encryption/decryption by modular
+//! exponentiation, and blockwise payload handling. A 64-bit modulus is
+//! factorable in microseconds, so this is functional-but-toy by
+//! construction; the *latency* of production RSA is charged separately
+//! through [`crate::cost::CostModel`], which is the only way crypto
+//! strength enters the paper's evaluation.
 
 use alert_rng::Rng;
 
@@ -62,12 +62,29 @@ pub fn pow_mod(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
     acc
 }
 
-/// Deterministic Miller–Rabin, exact for all `u64` with this witness set.
-pub fn is_prime(n: u64) -> bool {
+/// `base^exp mod n` for `n < 2^32`: every product of two residues fits in
+/// a `u64`, so no widening is needed.
+fn pow_mod_u32(mut base: u64, mut exp: u64, n: u64) -> u64 {
+    let mut acc = 1u64;
+    base %= n;
+    while exp > 0 {
+        if exp & 1 == 1 {
+            acc = acc * base % n;
+        }
+        base = base * base % n;
+        exp >>= 1;
+    }
+    acc
+}
+
+/// Exact primality for every `u32`: trial division by the primes up to
+/// 37, then strong-probable-prime rounds on the witnesses {2, 7, 61},
+/// which no composite below 4,759,123,141 passes.
+pub fn is_prime(n: u32) -> bool {
     if n < 2 {
         return false;
     }
-    for p in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
+    for p in [2u32, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
         if n == p {
             return true;
         }
@@ -75,19 +92,20 @@ pub fn is_prime(n: u64) -> bool {
             return false;
         }
     }
-    let mut d = n - 1;
-    let mut r = 0u32;
-    while d.is_multiple_of(2) {
-        d /= 2;
-        r += 1;
-    }
-    'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        let mut x = pow_mod(a, d, n);
+    let n = u64::from(n);
+    let r = (n - 1).trailing_zeros();
+    let d = (n - 1) >> r;
+    'witness: for a in [2u64, 7, 61] {
+        // A witness that is a multiple of n (only n = 61 here) says nothing.
+        if a % n == 0 {
+            continue;
+        }
+        let mut x = pow_mod_u32(a, d, n);
         if x == 1 || x == n - 1 {
             continue;
         }
-        for _ in 0..r - 1 {
-            x = mul_mod(x, x, n);
+        for _ in 1..r {
+            x = x * x % n;
             if x == n - 1 {
                 continue 'witness;
             }
@@ -97,10 +115,13 @@ pub fn is_prime(n: u64) -> bool {
     true
 }
 
-/// Extended Euclid; returns `(g, x)` with `a*x ≡ g (mod m)`.
+/// Inverse of `a` modulo `m` by extended Euclid, or `None` when
+/// `gcd(a, m) != 1`. Runs in `i64`: with `a, m < 2^62` every Bézout term
+/// stays below `2m < 2^63`.
 fn mod_inverse(a: u64, m: u64) -> Option<u64> {
-    let (mut old_r, mut r) = (a as i128, m as i128);
-    let (mut old_s, mut s) = (1i128, 0i128);
+    debug_assert!(a < 1 << 62 && m < 1 << 62, "operands must be below 2^62");
+    let (mut old_r, mut r) = (a as i64, m as i64);
+    let (mut old_s, mut s) = (1i64, 0i64);
     while r != 0 {
         let q = old_r / r;
         (old_r, r) = (r, old_r - q * r);
@@ -109,17 +130,15 @@ fn mod_inverse(a: u64, m: u64) -> Option<u64> {
     if old_r != 1 {
         return None;
     }
-    let mut x = old_s % m as i128;
-    if x < 0 {
-        x += m as i128;
-    }
-    Some(x as u64)
+    Some(old_s.rem_euclid(m as i64) as u64)
 }
 
+/// A random prime in `[lo, hi)`: odd candidates are drawn until one is
+/// prime. Only candidates that fit in a `u32` can pass.
 fn random_prime_in<R: Rng + ?Sized>(rng: &mut R, lo: u64, hi: u64) -> u64 {
     loop {
         let candidate = rng.gen_range(lo..hi) | 1;
-        if is_prime(candidate) {
+        if u32::try_from(candidate).is_ok_and(is_prime) {
             return candidate;
         }
     }
@@ -238,12 +257,64 @@ mod tests {
 
     #[test]
     fn primality_known_values() {
-        for p in [2u64, 3, 5, 7, 97, 65537, 2_147_483_647] {
+        for p in [2u32, 3, 5, 7, 97, 65537, 2_147_483_647] {
             assert!(is_prime(p), "{p} is prime");
         }
-        for c in [0u64, 1, 4, 100, 65535, 2_147_483_649, 3_215_031_751] {
+        for c in [0u32, 1, 4, 100, 65535, 2_147_483_649, 3_215_031_751] {
             assert!(!is_prime(c), "{c} is composite");
         }
+    }
+
+    /// The `i128` extended Euclid that key generation used before the
+    /// `i64` one: the oracle for [`mod_inverse`].
+    fn mod_inverse_i128(a: u64, m: u64) -> Option<u64> {
+        let (mut old_r, mut r) = (a as i128, m as i128);
+        let (mut old_s, mut s) = (1i128, 0i128);
+        while r != 0 {
+            let q = old_r / r;
+            (old_r, r) = (r, old_r - q * r);
+            (old_s, s) = (s, old_s - q * s);
+        }
+        if old_r != 1 {
+            return None;
+        }
+        let mut x = old_s % m as i128;
+        if x < 0 {
+            x += m as i128;
+        }
+        Some(x as u64)
+    }
+
+    #[test]
+    fn mod_inverse_matches_i128_oracle() {
+        alert_rng::check(4096, 24, |rng| {
+            let m = rng.gen_range(2..1u64 << 62);
+            let a = match rng.gen_range(0..3) {
+                0 => 65537,
+                1 => rng.gen_range(1..m.min(1 << 20)),
+                _ => rng.gen_range(1..m),
+            };
+            let got = mod_inverse(a, m);
+            assert_eq!(got, mod_inverse_i128(a, m), "a {a}, m {m}");
+            if let Some(x) = got {
+                assert!(x < m);
+                assert_eq!(u128::from(a) * u128::from(x) % u128::from(m), 1);
+            }
+        });
+    }
+
+    #[test]
+    fn keygen_exponents_invert_mod_phi() {
+        alert_rng::check(512, 24, |rng| {
+            let p = random_prime_in(rng, 1 << 30, 1 << 31);
+            let q = random_prime_in(rng, 1 << 30, 1 << 31);
+            let phi = (p - 1) * (q - 1);
+            let d = mod_inverse(65537, phi);
+            assert_eq!(d, mod_inverse_i128(65537, phi), "p {p}, q {q}");
+            if let Some(d) = d {
+                assert_eq!(65537 * u128::from(d) % u128::from(phi), 1, "p {p}, q {q}");
+            }
+        });
     }
 
     #[test]

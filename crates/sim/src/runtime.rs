@@ -1130,6 +1130,8 @@ pub struct World<P: ProtocolNode> {
     /// `RunBudget::max_events_per_instant`.
     instant_streak: u64,
     profile_enabled: bool,
+    /// Wall-clock seconds the constructor took ([`RunProfile::setup_s`]).
+    setup_s: f64,
     profile_wall_s: f64,
     /// Per-event-class accounting ([`RunProfile::callbacks`]), one fixed
     /// slot per [`EVENT_CLASSES`] entry, filled only when profiling is
@@ -1180,6 +1182,7 @@ impl<P: ProtocolNode> World<P> {
         seed: u64,
         factory: impl FnMut(NodeId, &ScenarioConfig) -> P,
     ) -> Result<Self, ScenarioError> {
+        let setup_start = std::time::Instant::now();
         cfg.validate()?;
         let field = cfg.field();
         let mut mobility: Box<dyn Mobility> = match cfg.mobility {
@@ -1221,7 +1224,7 @@ impl<P: ProtocolNode> World<P> {
         if let Some(points) = cfg.placement.positions(field, cfg.nodes, seed) {
             mobility.place(&points);
         }
-        Self::with_mobility(cfg, seed, mobility, None, factory)
+        Self::with_mobility(cfg, seed, mobility, None, factory, setup_start)
     }
 
     /// Builds a world over an explicit static topology with explicit
@@ -1254,12 +1257,13 @@ impl<P: ProtocolNode> World<P> {
         sessions: Vec<Session>,
         factory: impl FnMut(NodeId, &ScenarioConfig) -> P,
     ) -> Result<Self, ScenarioError> {
+        let setup_start = std::time::Instant::now();
         cfg.nodes = positions.len();
         cfg.mobility = MobilityKind::Static;
         cfg.traffic.pairs = sessions.len();
         let field = cfg.field();
         let mobility: Box<dyn Mobility> = Box::new(StaticField::at(field, positions));
-        Self::with_mobility(cfg, seed, mobility, Some(sessions), factory)
+        Self::with_mobility(cfg, seed, mobility, Some(sessions), factory, setup_start)
     }
 
     fn with_mobility(
@@ -1268,6 +1272,7 @@ impl<P: ProtocolNode> World<P> {
         mobility: Box<dyn Mobility>,
         sessions_override: Option<Vec<Session>>,
         mut factory: impl FnMut(NodeId, &ScenarioConfig) -> P,
+        setup_start: std::time::Instant,
     ) -> Result<Self, ScenarioError> {
         cfg.validate()?;
         if let Some(s) = &sessions_override {
@@ -1289,8 +1294,6 @@ impl<P: ProtocolNode> World<P> {
             cfg.nodes
         );
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_A1E7);
-        let field = cfg.field();
-        let _ = field;
 
         let mut nodes = Vec::with_capacity(cfg.nodes);
         let mut pseudonym_map = HashMap::with_capacity(cfg.nodes * 2);
@@ -1342,7 +1345,7 @@ impl<P: ProtocolNode> World<P> {
             1
         };
         let mut core = WorldCore {
-            grid: SpatialGrid::new(field, cfg.mac.range_m),
+            grid: SpatialGrid::new(cfg.field(), cfg.mac.range_m),
             location: LocationService::new(cfg.nodes, cfg.location),
             queue: EventQueue::new(),
             mobility,
@@ -1452,6 +1455,7 @@ impl<P: ProtocolNode> World<P> {
             events_dispatched: 0,
             instant_streak: 0,
             profile_enabled: false,
+            setup_s: setup_start.elapsed().as_secs_f64(),
             profile_wall_s: 0.0,
             profile_callbacks: [CallbackProfile::default(); EVENT_CLASSES.len()],
             profile_spans: [CallbackProfile::default(); SPANS.len()],
@@ -2147,6 +2151,7 @@ impl<P: ProtocolNode> World<P> {
     /// registry) are always filled.
     pub fn run_profile(&self) -> RunProfile {
         let mut p = RunProfile {
+            setup_s: self.setup_s,
             wall_clock_s: self.profile_wall_s,
             sim_time_s: self.core.queue.now(),
             events_dispatched: self.events_dispatched,

@@ -21,6 +21,10 @@ pub struct CallbackProfile {
 /// Performance summary of one simulator run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunProfile {
+    /// Wall-clock duration of building the world (`World::try_new`: key
+    /// generation, placement, the first hello round), in seconds. Absent
+    /// from older profiles, which read as 0.
+    pub setup_s: f64,
     /// Wall-clock duration of the `run_until` loop, in seconds.
     pub wall_clock_s: f64,
     /// Simulated time covered by the run, in seconds.
@@ -47,6 +51,7 @@ pub struct RunProfile {
 crate::json_struct!(CallbackProfile { count, seconds });
 
 crate::json_struct!(RunProfile {
+    setup_s = 0.0,
     wall_clock_s,
     sim_time_s,
     events_dispatched,
@@ -98,6 +103,24 @@ mod tests {
         p.wall_clock_s = 0.0;
         p.finalize();
         assert_eq!(p.events_per_sec, 0.0);
+    }
+
+    #[test]
+    fn setup_s_round_trips_and_defaults_to_zero() {
+        let p = RunProfile {
+            setup_s: 0.125,
+            wall_clock_s: 2.0,
+            ..RunProfile::default()
+        };
+        let back: RunProfile = crate::json::from_str(&crate::json::to_string(&p)).unwrap();
+        assert_eq!(back, p);
+        // A profile written before the field existed still parses.
+        let mut old = crate::json::to_string(&p);
+        old = old.replace("\"setup_s\":0.125,", "");
+        assert!(!old.contains("setup_s"), "{old}");
+        let back: RunProfile = crate::json::from_str(&old).unwrap();
+        assert_eq!(back.setup_s, 0.0);
+        assert_eq!(back.wall_clock_s, 2.0);
     }
 
     #[test]

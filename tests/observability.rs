@@ -102,6 +102,7 @@ fn instrumented_run_produces_a_profile() {
     let p = &out.profile;
     assert!(p.events_dispatched > 0);
     assert!(p.fel_high_water > 0);
+    assert!(p.setup_s > 0.0);
     assert!(p.wall_clock_s > 0.0);
     assert!(p.events_per_sec > 0.0);
     assert!(p.sim_time_s > 0.0);
