@@ -1,7 +1,8 @@
 //! Pins the bytes of live JSONL traces: the byte count and FNV-1a 64
 //! digest of the trace `simrun --trace` writes for all nine protocols at
-//! 60 nodes, for ALERT in the 200-node default scenario, and for the
-//! sample fault plan in `examples/`. Each pin is the trace of
+//! 60 nodes, for ALERT in the 200-node default scenario, for the sample
+//! fault plan in `examples/`, and for ALERT at 5,000 nodes on a field
+//! scaled to the paper's density. Each pin is the trace of
 //!
 //! ```text
 //! simrun --protocol P --nodes 60 --duration 10 --seed 42 --trace t.jsonl
@@ -9,6 +10,16 @@
 //! simrun --protocol alert --nodes 80 --pairs 3 --duration 20 --seed 42 \
 //!        --faults examples/fault_plan.sample.json --trace t.jsonl
 //! ```
+//!
+//! and, for the last, of `ScenarioConfig::default()
+//! .with_nodes_scaled_field(5000).with_duration(3.0)` with ALERT and seed
+//! 42 (`simrun --nodes` keeps the field, so it has no flag for this one).
+//!
+//! The 5,000-node run is the only one above the runtime's parallel-sweep
+//! threshold (4,096 nodes), so it is the one that checks the hello sweep
+//! split over threads. Run on a single CPU (`taskset -c 0 cargo test
+//! --test trace_digests`), the same run takes the one-lane sweep, and it
+//! must hit the same bytes.
 //!
 //! `trace_determinism` only compares a run with itself. These digests
 //! compare a run with the bytes recorded when they were committed, so a
@@ -113,5 +124,18 @@ fn alert_under_the_sample_fault_plan() {
         "ALERT, sample fault plan",
         got,
         (946_133, 0xd0cd_9644_c200_55bb),
+    );
+}
+
+#[test]
+fn alert_at_5000_nodes_on_a_scaled_field() {
+    let cfg = ScenarioConfig::default()
+        .with_nodes_scaled_field(5000)
+        .with_duration(3.0);
+    let got = trace_digest(ProtocolChoice::Alert(AlertConfig::default()), &cfg, 42);
+    check(
+        "ALERT, 5,000 nodes",
+        got,
+        (2_702_477, 0xddbf_b1d7_ff4b_a09e),
     );
 }

@@ -54,6 +54,10 @@ pub struct SpatialGrid {
 /// Sentinel in `locate` for ids that are not currently indexed.
 const ABSENT: usize = usize::MAX;
 
+/// Items of a cell a range query tests before it calls back for the
+/// hits; a power of two that fits a `u8` index.
+const SCAN_CHUNK: usize = 64;
+
 impl SpatialGrid {
     /// Creates a grid covering `bounds` with cells of side `cell_size`
     /// (use the radio range for O(1)-neighborhood range queries).
@@ -230,7 +234,14 @@ impl SpatialGrid {
     }
 
     /// Calls `f(id, position)` for every item within `radius` of `center`
-    /// (inclusive), including an item exactly at `center`.
+    /// (inclusive), including an item exactly at `center`, in (cell row,
+    /// cell column, id) order.
+    ///
+    /// A cell is tested 64 items (`SCAN_CHUNK`) at a time without a
+    /// branch on the outcome: every item's index is written to a hit list
+    /// whose end advances only when the item is in range, and `f` runs
+    /// over the hits afterwards. About a third of the candidates are
+    /// hits, so a per-item branch would mispredict often.
     pub fn for_each_in_range<F: FnMut(usize, Point)>(&self, center: Point, radius: f64, mut f: F) {
         let r2 = radius * radius;
         let span = (radius / self.cell).ceil() as isize;
@@ -238,10 +249,19 @@ impl SpatialGrid {
         let (ccx, ccy) = (ccx as isize, ccy as isize);
         let x0 = (ccx - span).max(0) as usize;
         let x1 = ((ccx + span).min(self.cols as isize - 1)) as usize;
+        let mut hits = [0u8; SCAN_CHUNK];
         for cy in (ccy - span).max(0)..=(ccy + span).min(self.rows as isize - 1) {
             self.scan_row(cy as usize, x0, x1, &mut |cell| {
-                for &(id, p) in cell {
-                    if p.distance_sq(center) <= r2 {
+                for chunk in cell.chunks(SCAN_CHUNK) {
+                    let mut n = 0;
+                    for (j, &(_, p)) in chunk.iter().enumerate() {
+                        // n <= j < SCAN_CHUNK, so the mask only drops
+                        // the bounds check.
+                        hits[n & (SCAN_CHUNK - 1)] = j as u8;
+                        n += usize::from(p.distance_sq(center) <= r2);
+                    }
+                    for &j in &hits[..n] {
+                        let (id, p) = chunk[usize::from(j)];
                         f(id, p);
                     }
                 }

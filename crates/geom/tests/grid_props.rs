@@ -74,6 +74,74 @@ fn range_query_matches_brute_force() {
     });
 }
 
+/// The cell `p` is filed in, as (row, column), clamped onto the grid
+/// like the grid's own.
+fn cell_of(p: Point) -> (isize, isize) {
+    let last = (FIELD_W / CELL) as isize - 1;
+    (
+        ((p.y / CELL) as isize).clamp(0, last),
+        ((p.x / CELL) as isize).clamp(0, last),
+    )
+}
+
+/// A plain filter in the order a range query reports its hits: every
+/// item within `radius` of `center` (inclusive), by (cell row, cell
+/// column, id).
+fn plain_filter(items: &[(usize, Point)], center: Point, radius: f64) -> Vec<(usize, Point)> {
+    let mut hits: Vec<(usize, Point)> = items
+        .iter()
+        .copied()
+        .filter(|(_, p)| p.distance_sq(center) <= radius * radius)
+        .collect();
+    hits.sort_by_key(|&(id, p)| (cell_of(p), id));
+    hits
+}
+
+/// The chunked, branchless scan reports exactly the plain filter's
+/// `(id, point)` sequence: across a cell crowded past the 64-item scan
+/// chunk, points exactly on the circle, points clamped onto the field
+/// edge, and radii up to two cells (the span a boosted cluster head
+/// queries).
+#[test]
+fn range_query_reports_the_plain_filter_in_cell_order() {
+    check(256, 1, |rng| {
+        let mut points: Vec<Point> = (0..rng.gen_range(0..80)).map(|_| arb_point(rng)).collect();
+        let cell = Point::new(
+            f64::from(rng.gen_range(0..4)) * CELL,
+            f64::from(rng.gen_range(0..4)) * CELL,
+        );
+        for _ in 0..rng.gen_range(0..200) {
+            let dx = rng.gen_range(0.0..CELL);
+            let dy = rng.gen_range(0.0..CELL);
+            points.push(Point::new(cell.x + dx, cell.y + dy));
+        }
+        // Integer coordinates and a 3-4-5 radius put the circle points at
+        // distance² exactly radius².
+        let center = if rng.gen_bool(0.5) {
+            Point::new(
+                cell.x + f64::from(rng.gen_range(0..250)),
+                cell.y + f64::from(rng.gen_range(0..250)),
+            )
+        } else {
+            Point::new(
+                f64::from(rng.gen_range(-100..1100)),
+                f64::from(rng.gen_range(-100..1100)),
+            )
+        };
+        let k = f64::from(rng.gen_range(1..=100));
+        let radius = 5.0 * k;
+        for (dx, dy) in [(3.0, 4.0), (-4.0, 3.0), (0.0, -5.0), (5.0, 0.0)] {
+            points.push(Point::new(center.x + dx * k, center.y + dy * k));
+        }
+        let items: Vec<(usize, Point)> = points.into_iter().enumerate().collect();
+        let mut grid = SpatialGrid::new(field(), CELL);
+        grid.rebuild(items.iter().copied());
+        let mut got = Vec::new();
+        grid.for_each_in_range(center, radius, |id, p| got.push((id, p)));
+        assert_eq!(got, plain_filter(&items, center, radius));
+    });
+}
+
 /// After a round of incremental moves the incrementally maintained grid
 /// still matches brute force — and matches a grid rebuilt from scratch
 /// item-for-item in iteration order (the byte-identical trace guarantee

@@ -114,15 +114,12 @@ pub fn neighbor_by_pseudonym(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alert_crypto::{KeyPair, Pseudonym};
-    use alert_rng::{SeedableRng, StdRng};
+    use alert_crypto::Pseudonym;
 
     fn entry(id: u64, x: f64, y: f64) -> NeighborEntry {
-        let mut rng = StdRng::seed_from_u64(99);
         NeighborEntry {
             pseudonym: Pseudonym(id),
             position: Point::new(x, y),
-            public_key: KeyPair::generate(&mut rng).public,
             heard_at: 0.0,
         }
     }

@@ -74,11 +74,8 @@ fn gpsr_routes_around_a_void() {
     // Deterministic geometric check of the trap itself: the pocket node
     // is a true greedy local maximum, yet right-hand traversal of its
     // planarized neighbors makes progress onto a C arm.
-    use alert_crypto::{KeyPair, Pseudonym};
+    use alert_crypto::Pseudonym;
     use alert_protocols::forwarding::{gabriel_neighbors, greedy_next_hop, right_hand_next};
-    use alert_rng::{SeedableRng, StdRng};
-    let mut rng = StdRng::seed_from_u64(1);
-    let kp = KeyPair::generate(&mut rng);
     let range = 250.0;
     let me = positions[4]; // the pocket
     let d = *positions.last().unwrap();
@@ -89,7 +86,6 @@ fn gpsr_routes_around_a_void() {
         .map(|(i, p)| alert_sim::NeighborEntry {
             pseudonym: Pseudonym(i as u64),
             position: *p,
-            public_key: kp.public,
             heard_at: 0.0,
         })
         .collect();

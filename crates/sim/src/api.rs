@@ -10,7 +10,7 @@
 use crate::config::ScenarioConfig;
 use crate::ids::{NodeId, PacketId, SessionId, TimerToken};
 use crate::location::LocationInfo;
-use alert_crypto::{KeyPair, Pseudonym, PublicKey};
+use alert_crypto::{KeyPair, Pseudonym};
 use alert_geom::{Point, Rect};
 use alert_rng::StdRng;
 use alert_trace::{CryptoOp, DropReason, TraceEvent};
@@ -25,9 +25,6 @@ pub struct NeighborEntry {
     /// The neighbor's position at the last hello (staler than ground truth
     /// by up to one hello interval — exactly as in a real deployment).
     pub position: Point,
-    /// The neighbor's public key (piggybacked on hellos, used by
-    /// "notify and go" TTL encryption, Section 2.6).
-    pub public_key: PublicKey,
     /// When the hello was heard.
     pub heard_at: f64,
 }
@@ -169,14 +166,15 @@ impl<'a, M: Clone + std::fmt::Debug> Api<'a, M> {
     /// decisions run on every hop of every packet, so this is
     /// deliberately allocation-free; entries are `Copy` — callers that
     /// need the list across a mutating `Api` call can copy out the
-    /// entries they keep (or `.to_vec()` the lot).
+    /// entries they keep (or `.to_vec()` the lot). The runtime fills the
+    /// table in before the node's first callback after each hello.
     pub fn neighbors(&self) -> &[NeighborEntry] {
         &self.core.nodes[self.node.0].neighbors
     }
 
     /// Number of current neighbors (the `eta` of "notify and go").
     pub fn neighbor_count(&self) -> usize {
-        self.core.nodes[self.node.0].neighbors.len()
+        self.core.table_len(self.node.0)
     }
 
     /// Queries the location service for a node's position, public key and

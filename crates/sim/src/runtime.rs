@@ -2,7 +2,7 @@
 //! node registry, location service, traffic generator and metrics together
 //! around a pluggable routing protocol.
 
-use crate::api::{Api, DataRequest, Frame, FrameKind, ProtocolNode, TrafficClass};
+use crate::api::{Api, DataRequest, Frame, FrameKind, NeighborEntry, ProtocolNode, TrafficClass};
 use crate::config::{LocationPolicy, MobilityKind, ScenarioConfig, ScenarioError};
 use crate::engine::EventQueue;
 use crate::guard::{RunAbort, RunBudget, WALL_CHECK_INTERVAL};
@@ -290,7 +290,11 @@ pub(crate) enum TxDest {
 pub(crate) struct NodeInfo {
     pub(crate) keypair: KeyPair,
     pub(crate) pseudonyms: PseudonymHistory,
-    pub(crate) neighbors: Vec<crate::api::NeighborEntry>,
+    /// The neighbor table as [`Api::neighbors`] lends it. Valid only
+    /// once [`WorldCore::fill_table`] has run since the last hello; the
+    /// table itself is `WorldCore::neighbor_ids` and
+    /// `WorldCore::survivors`.
+    pub(crate) neighbors: Vec<NeighborEntry>,
 }
 
 /// A node's current pseudonym plus one predecessor, kept so in-flight
@@ -374,10 +378,16 @@ pub(crate) struct WorldCore<M> {
     /// [`PARALLEL_SWEEP_MIN_NODES`] and for the construction round, else
     /// the host's parallelism capped at [`MAX_SWEEP_LANES`].
     pub(crate) sweep_lanes: usize,
-    /// Node id of each entry of `nodes[i].neighbors`, index-aligned with
-    /// it, so the hello sweep tells "the same neighbor, new pseudonym"
-    /// by id. Swapped and cleared together with the table.
+    /// Node i's neighbor table is the nodes `neighbor_ids[i]` heard at
+    /// the last hello, in grid order (their rows are in
+    /// `hello_scratch.beacons`), followed by `survivors[i]`: entries not
+    /// re-heard that have not yet aged out, with their node ids. Both are
+    /// written by the hello sweep and cleared when the node crashes;
+    /// their lengths are the table's length.
     pub(crate) neighbor_ids: Vec<Vec<u32>>,
+    pub(crate) survivors: Vec<Vec<(u32, NeighborEntry)>>,
+    /// Whether `nodes[i].neighbors` was filled in since the last hello.
+    pub(crate) table_filled: Vec<bool>,
     /// Recycled receiver lists of [`Event::Deliver`]: a frame takes one
     /// at send time and hands it back once delivered, so steady state
     /// allocates nothing per frame.
@@ -430,9 +440,33 @@ pub(crate) enum EnergyCause {
 pub(crate) struct HelloScratch {
     /// One per sweep lane, grown on first use.
     lanes: Vec<SweepLane>,
+    /// What this hello's beacons advertised, and the previous hello's.
+    beacons: Beacons,
+    prev_beacons: Beacons,
     /// Entries that aged out this tick, in node-id order, delivered to
     /// `on_neighbor_lost` by the dispatch loop after the tick completes.
-    pub(crate) lost: Vec<(NodeId, crate::api::NeighborEntry)>,
+    pub(crate) lost: Vec<(NodeId, NeighborEntry)>,
+}
+
+/// One hello round's beacons: every node's pseudonym and position at
+/// the hello (after rotation), and its time. Rows of nodes that sent no
+/// beacon are never read.
+#[derive(Default)]
+struct Beacons {
+    at: f64,
+    rows: Vec<(Pseudonym, Point)>,
+}
+
+impl Beacons {
+    /// The table entry a neighbor that heard node `id`'s beacon holds.
+    fn entry(&self, id: u32) -> NeighborEntry {
+        let (pseudonym, position) = self.rows[id as usize];
+        NeighborEntry {
+            pseudonym,
+            position,
+            heard_at: self.at,
+        }
+    }
 }
 
 /// One lane's scratch for [`sweep_range`]. `heard`/`round` implement a
@@ -440,13 +474,13 @@ pub(crate) struct HelloScratch {
 /// set without per-tick clearing.
 #[derive(Default)]
 struct SweepLane {
-    /// The neighbor table being built for the current node; swapped into
-    /// `NodeInfo::neighbors` at the end of each per-node pass.
-    table: Vec<crate::api::NeighborEntry>,
-    /// Node ids of `table`'s entries, index-aligned with it.
+    /// The current node's heard ids and survivors, built here and then
+    /// copied, because the node's old lists are read while they are
+    /// built.
     ids: Vec<u32>,
+    kept: Vec<(u32, NeighborEntry)>,
     /// Entries of this lane's nodes that aged out this tick.
-    lost: Vec<(NodeId, crate::api::NeighborEntry)>,
+    lost: Vec<(NodeId, NeighborEntry)>,
     /// `heard[id] == round` ⇔ node `id` was heard by the observer
     /// currently being processed.
     heard: Vec<u64>,
@@ -454,13 +488,12 @@ struct SweepLane {
     round: u64,
 }
 
-/// What every lane of one hello sweep reads: this tick's geometry,
-/// identities and liveness.
+/// What every lane of one hello sweep reads: this tick's geometry and
+/// liveness, and the previous hello's beacons.
 struct SweepIn<'a> {
     grid: &'a SpatialGrid,
     positions: &'a [Point],
-    pseudonyms: &'a [Pseudonym],
-    public_keys: &'a [PublicKey],
+    prev: &'a Beacons,
     down_depth: &'a [u32],
     /// Nodes that withheld their beacon this round (metered runs only).
     low_energy: &'a [bool],
@@ -472,22 +505,24 @@ struct SweepIn<'a> {
     staleness: f64,
 }
 
-/// Pure phase of the hello tick: rebuilds the neighbor tables of the
-/// contiguous node range that starts at id `base` (`nodes` and `ids` are
-/// that range of `WorldCore::nodes` and `WorldCore::neighbor_ids`). It
-/// draws no randomness and emits nothing, so how the nodes are split into
-/// ranges cannot change any table; entries lost to staleness go to
-/// `lane.lost` in node-id order.
+/// Pure phase of the hello tick: rewrites the neighbor lists of the
+/// contiguous node range that starts at id `base` (`ids` and `survivors`
+/// are that range of `WorldCore::neighbor_ids` and
+/// `WorldCore::survivors`). Every old entry not re-heard is either kept
+/// as a survivor or lost; the entries heard at the previous hello are
+/// rebuilt from its beacons. It draws no randomness and emits nothing, so
+/// how the nodes are split into ranges cannot change any list; lost
+/// entries go to `lane.lost` in node-id order.
 fn sweep_range(
     inp: &SweepIn<'_>,
     base: usize,
-    nodes: &mut [NodeInfo],
     ids: &mut [Vec<u32>],
+    survivors: &mut [Vec<(u32, NeighborEntry)>],
     lane: &mut SweepLane,
 ) {
     let SweepLane {
-        table,
-        ids: table_ids,
+        ids: heard_ids,
+        kept,
         lost,
         heard,
         round,
@@ -496,18 +531,17 @@ fn sweep_range(
     if heard.len() < inp.positions.len() {
         heard.resize(inp.positions.len(), 0);
     }
-    for (k, (node, node_ids)) in nodes.iter_mut().zip(ids.iter_mut()).enumerate() {
+    for (k, (node_ids, node_survivors)) in ids.iter_mut().zip(survivors.iter_mut()).enumerate() {
         let i = base + k;
         if inp.down_depth[i] > 0 {
-            // Crashed: table was wiped at crash time and stays empty.
+            // Crashed: the lists were cleared at crash time and stay empty.
             continue;
         }
         *round += 1;
         let round = *round;
-        table.clear();
-        table_ids.clear();
+        heard_ids.clear();
         inp.grid
-            .for_each_in_range(inp.positions[i], inp.range, |id, pos| {
+            .for_each_in_range(inp.positions[i], inp.range, |id, _| {
                 if id == i || inp.down_depth[id] > 0 || (inp.metered && inp.low_energy[id]) {
                     // Self, a crashed neighbor whose radio sends no beacon to
                     // be heard, or an energy-saving node that withheld its
@@ -515,33 +549,35 @@ fn sweep_range(
                     return;
                 }
                 heard[id] = round;
-                table.push(crate::api::NeighborEntry {
-                    pseudonym: inp.pseudonyms[id],
-                    position: pos,
-                    public_key: inp.public_keys[id],
-                    heard_at: inp.now,
-                });
                 // Node counts fit in u32 (checked at construction).
-                table_ids.push(id as u32);
+                heard_ids.push(id as u32);
             });
         // Entries not re-heard this round survive until they age out; the
         // node id identifies "the same neighbor" across pseudonym
-        // rotations.
-        for (e, &id) in node.neighbors.iter().zip(node_ids.iter()) {
-            if heard[id as usize] == round {
-                continue;
-            }
+        // rotations. The old table is the old heard ids, then the old
+        // survivors, so this keeps its order.
+        kept.clear();
+        let mut sort_out = |id: u32, e: NeighborEntry| {
             if inp.now - e.heard_at < inp.staleness {
-                table.push(*e);
-                table_ids.push(id);
+                kept.push((id, e));
             } else {
-                lost.push((NodeId(i), *e));
+                lost.push((NodeId(i), e));
+            }
+        };
+        for &id in node_ids.iter() {
+            if heard[id as usize] != round {
+                sort_out(id, inp.prev.entry(id));
             }
         }
-        // The freshly built table becomes the node's; the node's old
-        // vectors become the next node's build buffers.
-        std::mem::swap(&mut node.neighbors, table);
-        std::mem::swap(node_ids, table_ids);
+        for &(id, e) in node_survivors.iter() {
+            if heard[id as usize] != round {
+                sort_out(id, e);
+            }
+        }
+        node_ids.clear();
+        node_ids.extend_from_slice(heard_ids);
+        node_survivors.clear();
+        node_survivors.extend_from_slice(kept);
     }
 }
 
@@ -557,6 +593,26 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
         for i in 0..self.positions.len() {
             self.positions[i] = self.mobility.position(i);
         }
+    }
+
+    /// Length of node `i`'s neighbor table, without filling it in.
+    pub(crate) fn table_len(&self, i: usize) -> usize {
+        self.neighbor_ids[i].len() + self.survivors[i].len()
+    }
+
+    /// Fills `nodes[i].neighbors` in from this hello's beacons and the
+    /// node's lists, once per hello: the rows, in the order, an eager
+    /// rebuild at the hello would have written.
+    pub(crate) fn fill_table(&mut self, i: usize) {
+        if self.table_filled[i] {
+            return;
+        }
+        self.table_filled[i] = true;
+        let beacons = &self.hello_scratch.beacons;
+        let table = &mut self.nodes[i].neighbors;
+        table.clear();
+        table.extend(self.neighbor_ids[i].iter().map(|&id| beacons.entry(id)));
+        table.extend(self.survivors[i].iter().map(|&(_, e)| e));
     }
 
     /// Whether `node` is currently crashed (fault plan).
@@ -696,7 +752,7 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
     ) {
         let mac = self.cfg.mac;
         let from_pos = self.position(from);
-        let contention = self.nodes[from.0].neighbors.len() as f64;
+        let contention = self.table_len(from.0) as f64;
         let backoff = if mac.max_backoff_s > 0.0 {
             self.rng.gen_range(0.0..mac.max_backoff_s)
         } else {
@@ -892,16 +948,20 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
         }
     }
 
-    /// Hello tick: rotate expired pseudonyms, rebuild every node's
-    /// neighbor table from current geometry, evict stale entries, and
-    /// account beacon overhead. Entries lost to staleness this round are
-    /// left in `hello_scratch.lost` for the runtime to deliver to the
-    /// `on_neighbor_lost` protocol hook after the tick.
+    /// Hello tick: rotate expired pseudonyms, record what every node's
+    /// beacon advertised, rewrite every node's neighbor lists from
+    /// current geometry, evict stale entries, and account beacon
+    /// overhead. Entries lost to staleness this round are left in
+    /// `hello_scratch.lost` for the runtime to deliver to the
+    /// `on_neighbor_lost` protocol hook after the tick. No table is
+    /// filled in here: [`WorldCore::fill_table`] does that on a node's
+    /// first callback after the hello.
     ///
     /// Three phases: a serial prologue (rotation, election: every RNG
-    /// draw and trace event, in id order), the pure table build
-    /// ([`sweep_range`], split over `sweep_lanes` threads), and a serial
-    /// epilogue (lost entries in id order, beacon and energy accounting).
+    /// draw and trace event, in id order; then the beacon snapshot), the
+    /// pure list rewrite ([`sweep_range`], split over `sweep_lanes`
+    /// threads), and a serial epilogue (lost entries in id order, beacon
+    /// and energy accounting).
     fn hello_tick(&mut self) {
         let now = self.queue.now();
         // Pseudonym rotation first so tables carry fresh pseudonyms. A
@@ -968,32 +1028,29 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
                 self.stats.registry.add(self.stats.cluster_heads, heads);
             }
         }
-        // Neighbor-table eligibility margin: a link is only advertised if
-        // it stays within radio range until the next hello even when both
-        // endpoints move apart at full speed. This models the link-quality
-        // filtering every practical beacon protocol applies and avoids
-        // committing unicasts to edge-of-range neighbors.
-        let range = (self.cfg.mac.range_m - 2.0 * self.cfg.speed * self.cfg.hello_interval_s)
-            .max(self.cfg.mac.range_m * 0.5);
-        // An entry survives `k` missed hellos (k = neighbor_staleness
-        // factor); the half-interval tolerance keeps the comparison robust
-        // to float accumulation, and with the default k = 1 reproduces the
-        // historical vanish-at-first-missed-hello semantics exactly.
-        let staleness =
-            (self.cfg.neighbor_staleness_factor - 0.5).max(0.0) * self.cfg.hello_interval_s;
+        let (range, staleness) = self.table_limits();
+        let scratch = &mut self.hello_scratch;
+        std::mem::swap(&mut scratch.beacons, &mut scratch.prev_beacons);
+        scratch.beacons.at = now;
+        scratch.beacons.rows.clear();
+        scratch.beacons.rows.extend(
+            self.cur_pseudonyms
+                .iter()
+                .copied()
+                .zip(self.positions.iter().copied()),
+        );
+        self.table_filled.fill(false);
         // Contiguous ranges of `chunk` nodes, one per lane.
         let n = self.nodes.len();
         let chunk = n.div_ceil(self.sweep_lanes);
         let lanes = n.div_ceil(chunk);
-        let scratch = &mut self.hello_scratch;
         if scratch.lanes.len() < lanes {
             scratch.lanes.resize_with(lanes, SweepLane::default);
         }
         let inp = SweepIn {
             grid: &self.grid,
             positions: &self.positions,
-            pseudonyms: &self.cur_pseudonyms,
-            public_keys: &self.public_keys,
+            prev: &scratch.prev_beacons,
             down_depth: &self.down_depth,
             low_energy: &self.low_energy,
             metered,
@@ -1005,8 +1062,8 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
             sweep_range(
                 &inp,
                 0,
-                &mut self.nodes,
                 &mut self.neighbor_ids,
+                &mut self.survivors,
                 &mut scratch.lanes[0],
             );
         } else {
@@ -1015,16 +1072,16 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
             let inp = &inp;
             std::thread::scope(|s| {
                 let mut ranges = self
-                    .nodes
+                    .neighbor_ids
                     .chunks_mut(chunk)
-                    .zip(self.neighbor_ids.chunks_mut(chunk))
+                    .zip(self.survivors.chunks_mut(chunk))
                     .zip(scratch.lanes.iter_mut())
                     .enumerate();
-                let (_, ((nodes, ids), lane)) = ranges.next().expect("at least one node");
-                for (k, ((nodes, ids), lane)) in ranges {
-                    s.spawn(move || sweep_range(inp, k * chunk, nodes, ids, lane));
+                let (_, ((ids, survivors), lane)) = ranges.next().expect("at least one node");
+                for (k, ((ids, survivors), lane)) in ranges {
+                    s.spawn(move || sweep_range(inp, k * chunk, ids, survivors, lane));
                 }
-                sweep_range(inp, 0, nodes, ids, lane);
+                sweep_range(inp, 0, ids, survivors, lane);
             });
         }
         // Lanes cover ascending id ranges, so lane order is id order.
@@ -1047,7 +1104,7 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
         self.metrics.control_bytes += (beaconing * HELLO_BYTES) as u64;
         let beacon_airtime =
             self.cfg.mac.base_overhead_s + HELLO_BYTES as f64 * 8.0 / self.cfg.mac.bitrate_bps;
-        let entries: usize = self.nodes.iter().map(|n| n.neighbors.len()).sum();
+        let entries: usize = (0..n).map(|i| self.table_len(i)).sum();
         self.metrics.energy_tx_j += beacon_airtime * self.cfg.energy.tx_watts * beaconing as f64;
         self.metrics.energy_rx_j += beacon_airtime * self.cfg.energy.rx_watts * entries as f64;
         if metered {
@@ -1064,13 +1121,32 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
                 if !self.low_energy[i] {
                     self.charge_energy(NodeId(i), tx_j, EnergyCause::Beacon);
                 }
-                let heard = self.nodes[i].neighbors.len() as f64;
+                let heard = self.table_len(i) as f64;
                 self.charge_energy(NodeId(i), rx_unit * heard, EnergyCause::Beacon);
                 if idle_j > 0.0 {
                     self.charge_energy(NodeId(i), idle_j, EnergyCause::Idle);
                 }
             }
         }
+    }
+
+    /// The neighbor-table eligibility radius and the age past which an
+    /// entry not re-heard is lost.
+    pub(crate) fn table_limits(&self) -> (f64, f64) {
+        // Eligibility margin: a link is only advertised if it stays within
+        // radio range until the next hello even when both endpoints move
+        // apart at full speed. This models the link-quality filtering
+        // every practical beacon protocol applies and avoids committing
+        // unicasts to edge-of-range neighbors.
+        let range = (self.cfg.mac.range_m - 2.0 * self.cfg.speed * self.cfg.hello_interval_s)
+            .max(self.cfg.mac.range_m * 0.5);
+        // An entry survives `k` missed hellos (k = neighbor_staleness
+        // factor); the half-interval tolerance keeps the comparison robust
+        // to float accumulation, and with the default k = 1 reproduces the
+        // historical vanish-at-first-missed-hello semantics exactly.
+        let staleness =
+            (self.cfg.neighbor_staleness_factor - 0.5).max(0.0) * self.cfg.hello_interval_s;
+        (range, staleness)
     }
 
     fn location_tick(&mut self) {
@@ -1364,6 +1440,8 @@ impl<P: ProtocolNode> World<P> {
             hello_scratch: HelloScratch::default(),
             sweep_lanes: 1,
             neighbor_ids: vec![Vec::new(); cfg.nodes],
+            survivors: vec![Vec::new(); cfg.nodes],
+            table_filled: vec![false; cfg.nodes],
             rx_lists: Vec::new(),
             positions: vec![Point::default(); cfg.nodes],
             tx_busy_until: vec![0.0; cfg.nodes],
@@ -1377,7 +1455,7 @@ impl<P: ProtocolNode> World<P> {
         };
         core.refresh_positions();
         core.rebuild_grid();
-        // The construction round grows every table from empty, which
+        // The construction round grows every list from empty, which
         // measured slower split across threads than on one.
         core.hello_tick();
         core.sweep_lanes = sweep_lanes;
@@ -1492,8 +1570,10 @@ impl<P: ProtocolNode> World<P> {
     /// Runs a protocol callback on `node`'s protocol, lent in place, with
     /// the world borrowed through [`Api`]. `protos` and `core` are
     /// disjoint fields and `Api` holds only the core, so a callback cannot
-    /// reach any protocol, its own included. `span` is the callback's slot
-    /// in [`SPANS`]; timing happens only when profiling is enabled, so
+    /// reach any protocol, its own included. The node's neighbor table is
+    /// filled in first, outside the span, so its cost goes to the event
+    /// class that made the call. `span` is the callback's slot in
+    /// [`SPANS`]; timing happens only when profiling is enabled, so
     /// unprofiled runs pay nothing for it.
     fn with_proto(
         &mut self,
@@ -1501,6 +1581,7 @@ impl<P: ProtocolNode> World<P> {
         span: usize,
         f: impl FnOnce(&mut P, &mut Api<'_, P::Msg>),
     ) {
+        self.core.fill_table(node.0);
         let proto = &mut self.protos[node.0];
         let mut api = Api {
             core: &mut self.core,
@@ -1751,9 +1832,11 @@ impl<P: ProtocolNode> World<P> {
             time: now,
             node: node.0 as u64,
         });
-        // Volatile runtime state dies with the node.
-        self.core.nodes[node.0].neighbors.clear();
+        // Volatile runtime state dies with the node; its table fills in
+        // empty.
         self.core.neighbor_ids[node.0].clear();
+        self.core.survivors[node.0].clear();
+        self.core.table_filled[node.0] = false;
         self.core.tx_busy_until[node.0] = 0.0;
     }
 
@@ -2226,6 +2309,8 @@ mod tests {
             serial.run_until(t);
             split.run_until(t);
             for i in 0..600 {
+                serial.core.fill_table(i);
+                split.core.fill_table(i);
                 let (a, b) = (&serial.core, &split.core);
                 assert_eq!(
                     a.nodes[i].neighbors, b.nodes[i].neighbors,
@@ -2233,9 +2318,13 @@ mod tests {
                 );
                 assert_eq!(
                     a.neighbor_ids[i], b.neighbor_ids[i],
-                    "node {i} id side table after hello {hello}"
+                    "node {i} heard ids after hello {hello}"
                 );
-                assert_eq!(a.nodes[i].neighbors.len(), a.neighbor_ids[i].len());
+                assert_eq!(
+                    a.survivors[i], b.survivors[i],
+                    "node {i} survivors after hello {hello}"
+                );
+                assert_eq!(a.nodes[i].neighbors.len(), a.table_len(i));
             }
             assert_eq!(
                 *serial_lost.borrow(),
@@ -2250,5 +2339,239 @@ mod tests {
         assert!(any_low, "no node withheld its beacon");
         assert!(!serial_lost.borrow().is_empty(), "no entry went stale");
         assert!(serial.counter("pseudonym.rotations") > 600);
+    }
+
+    /// The eager reference for the lazy tables: at every hello it
+    /// rebuilds each live node's whole table, as the runtime did before
+    /// tables were filled in on demand. Heard entries come first in grid
+    /// order, then old entries not re-heard and not yet aged out; a
+    /// crashed node's table is empty.
+    #[derive(Default)]
+    struct EagerTables {
+        /// Per node: the table, with each entry's node id.
+        tables: Vec<Vec<(u32, NeighborEntry)>>,
+        /// Entries the last hello aged out, in node-id order.
+        lost: Vec<(NodeId, NeighborEntry)>,
+        /// `on_neighbor_lost` deliveries since the last hello.
+        delivered: Vec<(NodeId, NeighborEntry)>,
+        /// Tables compared and the entries they held; entries kept past
+        /// a missed hello, and entries aged out.
+        reads: usize,
+        rows: usize,
+        survivors: usize,
+        aged_out: usize,
+    }
+
+    impl EagerTables {
+        fn hello<M: Clone + std::fmt::Debug>(&mut self, core: &WorldCore<M>) {
+            let now = core.queue.now();
+            let (range, staleness) = core.table_limits();
+            let metered = core.energy_metered();
+            self.tables.resize(core.nodes.len(), Vec::new());
+            self.lost.clear();
+            for i in 0..core.nodes.len() {
+                if core.down_depth[i] > 0 {
+                    continue;
+                }
+                let mut table = Vec::new();
+                core.grid
+                    .for_each_in_range(core.positions[i], range, |id, pos| {
+                        let silent = core.down_depth[id] > 0 || (metered && core.low_energy[id]);
+                        if id != i && !silent {
+                            let e = NeighborEntry {
+                                pseudonym: core.cur_pseudonyms[id],
+                                position: pos,
+                                heard_at: now,
+                            };
+                            table.push((id as u32, e));
+                        }
+                    });
+                let heard = table.len();
+                for &(id, e) in &self.tables[i] {
+                    if table[..heard].iter().any(|&(h, _)| h == id) {
+                        continue;
+                    }
+                    if now - e.heard_at < staleness {
+                        table.push((id, e));
+                        self.survivors += 1;
+                    } else {
+                        self.lost.push((NodeId(i), e));
+                        self.aged_out += 1;
+                    }
+                }
+                self.tables[i] = table;
+            }
+        }
+
+        /// Empties the tables of crashed nodes.
+        fn crashed(&mut self, down_depth: &[u32]) {
+            for (table, &depth) in self.tables.iter_mut().zip(down_depth) {
+                if depth > 0 {
+                    table.clear();
+                }
+            }
+        }
+    }
+
+    type Oracle = Rc<RefCell<EagerTables>>;
+
+    /// Checks the table it is lent on every callback against the eager
+    /// reference, and keeps frames and timers going so that tables are
+    /// filled in at deliveries, timers and data requests alike.
+    struct TableProbe {
+        id: NodeId,
+        oracle: Oracle,
+    }
+
+    impl TableProbe {
+        fn probe(&self, api: &Api<'_, u8>) {
+            let mut oracle = self.oracle.borrow_mut();
+            let want: Vec<NeighborEntry> =
+                oracle.tables[self.id.0].iter().map(|&(_, e)| e).collect();
+            assert_eq!(
+                api.neighbors(),
+                &want[..],
+                "node {} at t = {}",
+                self.id.0,
+                api.now()
+            );
+            assert_eq!(api.neighbor_count(), want.len());
+            oracle.reads += 1;
+            oracle.rows += want.len();
+        }
+    }
+
+    impl ProtocolNode for TableProbe {
+        type Msg = u8;
+        fn name() -> &'static str {
+            "TABLE-PROBE"
+        }
+        fn on_start(&mut self, api: &mut Api<'_, u8>) {
+            self.probe(api);
+            let delay = api.rng().gen_range(0.0..1.0);
+            api.set_timer(delay, 0);
+        }
+        fn on_data_request(&mut self, api: &mut Api<'_, u8>, _req: &DataRequest) {
+            self.probe(api);
+            api.send_broadcast(0, 64, TrafficClass::Data, None);
+        }
+        fn on_frame(&mut self, api: &mut Api<'_, u8>, frame: Frame<u8>) {
+            self.probe(api);
+            if frame.msg < 2 && api.rng().gen_bool(0.1) {
+                api.send_broadcast(frame.msg + 1, 64, TrafficClass::Control, None);
+            }
+        }
+        fn on_timer(&mut self, api: &mut Api<'_, u8>, token: TimerToken) {
+            self.probe(api);
+            if api.rng().gen_bool(0.05) {
+                api.send_broadcast(0, 64, TrafficClass::Control, None);
+            }
+            let delay = api.rng().gen_range(0.3..1.7);
+            api.set_timer(delay, token);
+        }
+        fn on_neighbor_lost(&mut self, _api: &mut Api<'_, u8>, neighbor: &NeighborEntry) {
+            // The table was rewritten at this hello, but the reference
+            // catches up only once the hello has dispatched; the next
+            // callback or read checks what this one filled in.
+            self.oracle
+                .borrow_mut()
+                .delivered
+                .push((self.id, *neighbor));
+        }
+    }
+
+    /// Dispatches the next FEL entry as the run loop does, and brings the
+    /// reference up to date: rebuilt after a hello (whose lost list must
+    /// be the one the protocols were handed), emptied for crashed nodes.
+    /// Returns false once the queue is empty.
+    fn step(w: &mut World<TableProbe>, oracle: &Oracle) -> bool {
+        let Some((_, ev)) = w.core.queue.pop() else {
+            return false;
+        };
+        match ev {
+            Event::Deliver { frame, to } => w.deliver_all(None, frame, &to).expect("no budget"),
+            Event::HelloTick => {
+                w.dispatch(Event::HelloTick);
+                let mut o = oracle.borrow_mut();
+                o.hello(&w.core);
+                let o = &mut *o;
+                assert_eq!(o.delivered, o.lost, "lost entries at t = {}", w.now());
+                o.delivered.clear();
+            }
+            ev => w.dispatch(ev),
+        }
+        oracle.borrow_mut().crashed(&w.core.down_depth);
+        true
+    }
+
+    #[test]
+    fn lazy_tables_match_an_eager_rebuild() {
+        let mut coverage = EagerTables::default();
+        let (mut down, mut low) = (false, false);
+        alert_rng::check(8, 0x7AB1E5, |rng| {
+            let nodes = rng.gen_range(150..400);
+            let duration = 12.0;
+            let mut cfg = ScenarioConfig::default()
+                .with_nodes_scaled_field(nodes)
+                .with_duration(duration);
+            cfg.traffic.pairs = rng.gen_range(0..4);
+            cfg.neighbor_staleness_factor = if rng.gen_bool(0.5) { 3.0 } else { 1.0 };
+            cfg.pseudonym_lifetime_s = 4.0;
+            cfg.energy.initial_j = Some(rng.gen_range(0.2..0.6));
+            cfg.energy.idle_watts = 0.01;
+            cfg.energy.relay_threshold_fraction = 0.5;
+            cfg.energy.cluster_head_fraction = 0.1;
+            // Crashes and recoveries at arbitrary times between hellos.
+            for _ in 0..nodes / 8 {
+                let at_s = rng.gen_range(0.1..duration);
+                let recover_s = rng
+                    .gen_bool(0.7)
+                    .then(|| (at_s + rng.gen_range(0.1..3.0_f64)).min(duration));
+                cfg.faults.crashes.push(crate::fault::NodeCrash {
+                    node: rng.gen_range(0..nodes),
+                    at_s,
+                    recover_s,
+                });
+            }
+            let oracle = Oracle::default();
+            let mut w = World::new(cfg, rng.gen_range(0..1000), |id, _| TableProbe {
+                id,
+                oracle: oracle.clone(),
+            });
+            w.core.sweep_lanes = if rng.gen_bool(0.5) { 3 } else { 1 };
+            oracle.borrow_mut().hello(&w.core);
+            // The deferred on_start sweep, and the t = 0 energy deaths.
+            w.run_until(0.0);
+            oracle.borrow_mut().crashed(&w.core.down_depth);
+            // Read random tables at random times, between the events.
+            let mut read_at = 0.0;
+            loop {
+                read_at += rng.gen_range(0.0..0.6);
+                while w.core.queue.peek_time().is_some_and(|t| t <= read_at) {
+                    step(&mut w, &oracle);
+                }
+                for _ in 0..5 {
+                    let node = NodeId(rng.gen_range(0..nodes));
+                    w.with_proto(node, ON_TIMER, |p, api| p.probe(api));
+                }
+                down |= w.core.down_depth.iter().any(|&d| d > 0);
+                low |= w.core.low_energy.iter().any(|&l| l);
+                if !step(&mut w, &oracle) {
+                    break;
+                }
+            }
+            let o = oracle.borrow();
+            coverage.reads += o.reads;
+            coverage.rows += o.rows;
+            coverage.survivors += o.survivors;
+            coverage.aged_out += o.aged_out;
+        });
+        // The cases exercised every input the sweep and the fill read.
+        assert!(coverage.reads > 10_000, "{} reads", coverage.reads);
+        assert!(coverage.rows > 10 * coverage.reads, "tables too small");
+        assert!(coverage.survivors > 0, "no entry outlived a missed hello");
+        assert!(coverage.aged_out > 0, "no entry aged out");
+        assert!(down, "no node crashed");
+        assert!(low, "no node withheld its beacon");
     }
 }
