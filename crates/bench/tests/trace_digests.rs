@@ -15,11 +15,10 @@
 //! .with_nodes_scaled_field(5000).with_duration(3.0)` with ALERT and seed
 //! 42 (`simrun --nodes` keeps the field, so it has no flag for this one).
 //!
-//! The 5,000-node run is the only one above the runtime's parallel-sweep
-//! threshold (4,096 nodes), so it is the one that checks the hello sweep
-//! split over threads. Run on a single CPU (`taskset -c 0 cargo test
-//! --test trace_digests`), the same run takes the one-lane sweep, and it
-//! must hit the same bytes.
+//! The 5,000-node run is the one that checks the hello sweep at scale:
+//! its grid has about 20 cells a side, so the cell-order scan crosses
+//! many cell rows and edges. Run on a single CPU (`taskset -c 0 cargo
+//! test --test trace_digests`), every run must hit the same bytes.
 //!
 //! `trace_determinism` only compares a run with itself. These digests
 //! compare a run with the bytes recorded when they were committed, so a

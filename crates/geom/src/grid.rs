@@ -11,6 +11,11 @@
 //! items its cells hold. Queries consult the block counters to hop over
 //! empty regions a block at a time, which matters once the field is
 //! scaled up for large node counts and most cells are empty.
+//!
+//! When every item asks the same question at once (the simulator's hello
+//! round), [`SpatialGrid::pack`] and [`SpatialGrid::for_each_heard`]
+//! answer it cell by cell over a cell-sorted copy of the items instead
+//! of running one query per item.
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -57,6 +62,61 @@ const ABSENT: usize = usize::MAX;
 /// Items of a cell a range query tests before it calls back for the
 /// hits; a power of two that fits a `u8` index.
 const SCAN_CHUNK: usize = 64;
+
+/// A cell-sorted struct-of-arrays copy of some of a grid's items, made
+/// by [`SpatialGrid::pack`] and read by [`SpatialGrid::for_each_heard`].
+/// Cell `c`'s items are `starts[c]..starts[c + 1]` of the `xs`, `ys` and
+/// `ids` arrays, in id order, and cells are in row-major order. So the
+/// cells `x0..=x1` of one row are one contiguous slice. The buffers keep
+/// their capacity from one pack to the next.
+#[derive(Debug, Clone, Default)]
+pub struct PackedCells {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    ids: Vec<u32>,
+    starts: Vec<u32>,
+}
+
+impl PackedCells {
+    /// Number of items in the copy.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the copy holds no item.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Appends to `out[len..]` the ids of the items of `self.ids[a..b]`
+    /// within `r2` (squared) of `center`, other than `me`, and returns the
+    /// new logical length. Every candidate is written and the end
+    /// advances only on a hit, so the loop has no branch on the outcome;
+    /// `out` is grown, never shrunk, to fit all candidates.
+    fn hits_in(
+        &self,
+        (a, b): (usize, usize),
+        center: Point,
+        r2: f64,
+        me: u32,
+        out: &mut Vec<u32>,
+        len: usize,
+    ) -> usize {
+        let need = len + (b - a);
+        if out.len() < need {
+            out.resize(need, 0);
+        }
+        let dst = &mut out[len..need];
+        let mut n = 0;
+        let (xs, ys, ids) = (&self.xs[a..b], &self.ys[a..b], &self.ids[a..b]);
+        for ((&x, &y), &id) in xs.iter().zip(ys).zip(ids) {
+            dst[n] = id;
+            let near = Point::new(x, y).distance_sq(center) <= r2;
+            n += usize::from(near & (id != me));
+        }
+        len + n
+    }
+}
 
 impl SpatialGrid {
     /// Creates a grid covering `bounds` with cells of side `cell_size`
@@ -267,6 +327,111 @@ impl SpatialGrid {
                 }
             });
         }
+    }
+
+    /// Copies the items `keep` accepts into `copy`, in cell order and by
+    /// id within a cell, replacing what it held. O(items + cells).
+    ///
+    /// # Panics
+    /// Panics if an accepted id, or the number of accepted items, does
+    /// not fit a `u32`.
+    pub fn pack(&self, copy: &mut PackedCells, mut keep: impl FnMut(usize) -> bool) {
+        let PackedCells {
+            xs,
+            ys,
+            ids,
+            starts,
+        } = copy;
+        xs.clear();
+        ys.clear();
+        ids.clear();
+        starts.clear();
+        let offset = |ids: &Vec<u32>| u32::try_from(ids.len()).expect("packed items fit a u32");
+        for cell in &self.cells {
+            starts.push(offset(ids));
+            for &(id, p) in cell {
+                if keep(id) {
+                    xs.push(p.x);
+                    ys.push(p.y);
+                    ids.push(u32::try_from(id).expect("packed ids fit a u32"));
+                }
+            }
+        }
+        starts.push(offset(ids));
+    }
+
+    /// For every item `listens` accepts, cell by cell in (cell row, cell
+    /// column, id) order: appends to `out` the ids of the items of `copy`
+    /// within `radius` of it (inclusive), other than itself, then calls
+    /// `f(id, at, hits)` with `hits == &out[at..]`, what it just appended.
+    /// `out` ends up holding every listener's hits, one listener after
+    /// the other.
+    ///
+    /// A listener's hits are exactly what [`SpatialGrid::for_each_in_range`]
+    /// at its position visits, minus itself and minus the items `copy`
+    /// left out, in the same order. As the radius is at most one cell,
+    /// that query's 3x3 cells are three row slices of the cell-sorted
+    /// copy, which it tests with the same `distance_sq <= r²` comparison.
+    /// `copy` must have been packed from this grid since its last change.
+    ///
+    /// # Panics
+    /// Panics if `radius` exceeds the cell size (or is NaN), if `copy`
+    /// was packed from a grid with a different cell count, or if a
+    /// listener's id does not fit a `u32`.
+    pub fn for_each_heard(
+        &self,
+        copy: &PackedCells,
+        radius: f64,
+        mut listens: impl FnMut(usize) -> bool,
+        out: &mut Vec<u32>,
+        mut f: impl FnMut(usize, usize, &[u32]),
+    ) {
+        assert!(
+            radius <= self.cell,
+            "radius {radius} exceeds the cell size {}",
+            self.cell
+        );
+        assert_eq!(
+            copy.starts.len(),
+            self.cells.len() + 1,
+            "copy packed from another grid"
+        );
+        let r2 = radius * radius;
+        let mut len = 0;
+        for cy in 0..self.rows {
+            let y0 = cy.saturating_sub(1);
+            let y1 = (cy + 1).min(self.rows - 1);
+            for cx in 0..self.cols {
+                let cell = &self.cells[cy * self.cols + cx];
+                if cell.is_empty() {
+                    continue;
+                }
+                let x0 = cx.saturating_sub(1);
+                let x1 = (cx + 1).min(self.cols - 1);
+                // The copy's slice of each row of the 3x3 neighborhood;
+                // a missing row (at the field edge) is an empty slice.
+                let mut slices = [(0, 0); 3];
+                for (slice, ry) in slices.iter_mut().zip(y0..=y1) {
+                    let row = ry * self.cols;
+                    *slice = (
+                        copy.starts[row + x0] as usize,
+                        copy.starts[row + x1 + 1] as usize,
+                    );
+                }
+                for &(id, p) in cell {
+                    if !listens(id) {
+                        continue;
+                    }
+                    let me = u32::try_from(id).expect("listener ids fit a u32");
+                    let at = len;
+                    for &slice in &slices {
+                        len = copy.hits_in(slice, p, r2, me, out, len);
+                    }
+                    f(id, at, &out[at..len]);
+                }
+            }
+        }
+        out.truncate(len);
     }
 
     /// Collects the ids of all items within `radius` of `center`.

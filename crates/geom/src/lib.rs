@@ -29,7 +29,7 @@ mod partition;
 mod point;
 mod rect;
 
-pub use grid::SpatialGrid;
+pub use grid::{PackedCells, SpatialGrid};
 pub use partition::{
     destination_zone, required_partitions, separate, zone_side_lengths, Axis, SeparateOutcome,
     Separation,

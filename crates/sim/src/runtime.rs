@@ -10,7 +10,7 @@ use crate::ids::{NodeId, PacketId, SessionId, TimerToken};
 use crate::location::LocationService;
 use crate::metrics::Metrics;
 use alert_crypto::{KeyPair, MacAddress, Pseudonym, PseudonymGenerator, PublicKey};
-use alert_geom::{Point, Rect, SpatialGrid};
+use alert_geom::{PackedCells, Point, Rect, SpatialGrid};
 use alert_mobility::{
     GroupMobility, GroupMobilityConfig, ManhattanConfig, ManhattanGrid, Mobility, RandomWaypoint,
     RandomWaypointConfig, StaticField,
@@ -25,14 +25,6 @@ use std::collections::HashMap;
 /// Wire size of a hello beacon (pseudonym + position + public key + MAC
 /// framing), bytes.
 const HELLO_BYTES: usize = 48;
-
-/// Node count from which the hello sweep builds neighbor tables on
-/// several threads; below it the sweep runs inline and spawns nothing.
-/// DESIGN.md §13 gives the measured crossover this is taken from.
-const PARALLEL_SWEEP_MIN_NODES: usize = 4096;
-
-/// Most threads one hello sweep uses.
-const MAX_SWEEP_LANES: usize = 8;
 
 /// One observed wireless transmission — what a physical-layer eavesdropper
 /// can capture: time, transmitter position, frame size, and (ground truth
@@ -73,8 +65,8 @@ pub trait Observer {
 pub type FrameAudit<M> = Box<dyn FnMut(f64, NodeId, Pseudonym, &M)>;
 
 /// Profiling names of the event classes ([`RunProfile::callbacks`]), in
-/// the slot order of [`Event::class`].
-const EVENT_CLASSES: [&str; 12] = [
+/// the slot order of [`Event::class`], then [`START`].
+const EVENT_CLASSES: [&str; 13] = [
     "deliver",
     "timer",
     "app_send",
@@ -87,10 +79,15 @@ const EVENT_CLASSES: [&str; 12] = [
     "region_recover",
     "energy_deplete",
     "retry",
+    "start",
 ];
 
 /// Slot of one receiver's delivery in [`EVENT_CLASSES`].
 const DELIVER: usize = 0;
+
+/// Slot of the deferred `on_start` sweep in [`EVENT_CLASSES`]: no event
+/// has it, and its one count is the sweep, not a dispatched event.
+const START: usize = 12;
 
 /// Profiling names of the protocol callbacks ([`RunProfile::spans`]), in
 /// slot order.
@@ -292,8 +289,7 @@ pub(crate) struct NodeInfo {
     pub(crate) pseudonyms: PseudonymHistory,
     /// The neighbor table as [`Api::neighbors`] lends it. Valid only
     /// once [`WorldCore::fill_table`] has run since the last hello; the
-    /// table itself is `WorldCore::neighbor_ids` and
-    /// `WorldCore::survivors`.
+    /// table itself is `WorldCore::heard` and `WorldCore::survivors`.
     pub(crate) neighbors: Vec<NeighborEntry>,
 }
 
@@ -370,21 +366,16 @@ pub(crate) struct WorldCore<M> {
     /// Victims of each in-progress regional outage (resolved at outage
     /// start, recovered together at outage end).
     pub(crate) region_victims: Vec<Vec<NodeId>>,
-    /// Reusable buffers for [`WorldCore::hello_tick`]: a serial tick
-    /// allocates nothing, a parallel one only for its lane threads (see
-    /// DESIGN.md § performance).
+    /// Reusable buffers for [`WorldCore::hello_tick`]: a steady-state
+    /// tick allocates nothing (see DESIGN.md § performance).
     pub(crate) hello_scratch: HelloScratch,
-    /// Lanes the hello sweep splits the nodes across: 1 below
-    /// [`PARALLEL_SWEEP_MIN_NODES`] and for the construction round, else
-    /// the host's parallelism capped at [`MAX_SWEEP_LANES`].
-    pub(crate) sweep_lanes: usize,
-    /// Node i's neighbor table is the nodes `neighbor_ids[i]` heard at
-    /// the last hello, in grid order (their rows are in
+    /// Node i's neighbor table is the nodes `heard.of(i)` heard at the
+    /// last hello, in grid order (their rows are in
     /// `hello_scratch.beacons`), followed by `survivors[i]`: entries not
     /// re-heard that have not yet aged out, with their node ids. Both are
     /// written by the hello sweep and cleared when the node crashes;
     /// their lengths are the table's length.
-    pub(crate) neighbor_ids: Vec<Vec<u32>>,
+    pub(crate) heard: HeardLists,
     pub(crate) survivors: Vec<Vec<(u32, NeighborEntry)>>,
     /// Whether `nodes[i].neighbors` was filled in since the last hello.
     pub(crate) table_filled: Vec<bool>,
@@ -438,14 +429,59 @@ pub(crate) enum EnergyCause {
 /// vectors keep their capacity between ticks.
 #[derive(Default)]
 pub(crate) struct HelloScratch {
-    /// One per sweep lane, grown on first use.
-    lanes: Vec<SweepLane>,
     /// What this hello's beacons advertised, and the previous hello's.
     beacons: Beacons,
     prev_beacons: Beacons,
+    /// The previous hello's heard lists (`WorldCore::heard` holds this
+    /// hello's; the two swap at every hello).
+    prev_heard: HeardLists,
+    /// This hello's beaconing nodes, cell-sorted, for the sweep.
+    cells: PackedCells,
+    /// `stamps[id] == round` ⇔ node `id` was heard by the listener
+    /// being sorted out: a "heard" set that needs no clearing.
+    stamps: Vec<u64>,
+    /// Generation stamp, bumped once per listener per tick.
+    round: u64,
+    /// The listener's survivors, built here and then copied, because
+    /// its old survivors are read while they are built.
+    kept: Vec<(u32, NeighborEntry)>,
+    /// Entries that aged out this tick in the sweep's (cell) order, and
+    /// each listener's run of them.
+    lost_cells: Vec<NeighborEntry>,
+    lost_runs: Vec<(usize, std::ops::Range<usize>)>,
     /// Entries that aged out this tick, in node-id order, delivered to
     /// `on_neighbor_lost` by the dispatch loop after the tick completes.
     pub(crate) lost: Vec<(NodeId, NeighborEntry)>,
+}
+
+/// One hello's heard lists, packed: node i heard
+/// `ids[spans[i].0..][..spans[i].1]`, in grid order. The spans are in
+/// node-id order, the ids in the sweep's cell order. A node the sweep
+/// skipped (down at the hello) or that crashed since has an empty span.
+#[derive(Default)]
+pub(crate) struct HeardLists {
+    ids: Vec<u32>,
+    spans: Vec<(u32, u32)>,
+}
+
+impl HeardLists {
+    fn new(nodes: usize) -> Self {
+        HeardLists {
+            ids: Vec::new(),
+            spans: vec![(0, 0); nodes],
+        }
+    }
+
+    /// The ids node `i` heard.
+    pub(crate) fn of(&self, i: usize) -> &[u32] {
+        let (at, len) = self.spans[i];
+        &self.ids[at as usize..][..len as usize]
+    }
+
+    /// Empties node `i`'s list.
+    fn clear(&mut self, i: usize) {
+        self.spans[i].1 = 0;
+    }
 }
 
 /// One hello round's beacons: every node's pseudonym and position at
@@ -469,118 +505,6 @@ impl Beacons {
     }
 }
 
-/// One lane's scratch for [`sweep_range`]. `heard`/`round` implement a
-/// generation-stamped "was node X heard by the observer being processed"
-/// set without per-tick clearing.
-#[derive(Default)]
-struct SweepLane {
-    /// The current node's heard ids and survivors, built here and then
-    /// copied, because the node's old lists are read while they are
-    /// built.
-    ids: Vec<u32>,
-    kept: Vec<(u32, NeighborEntry)>,
-    /// Entries of this lane's nodes that aged out this tick.
-    lost: Vec<(NodeId, NeighborEntry)>,
-    /// `heard[id] == round` ⇔ node `id` was heard by the observer
-    /// currently being processed.
-    heard: Vec<u64>,
-    /// Generation stamp, bumped once per observer per tick.
-    round: u64,
-}
-
-/// What every lane of one hello sweep reads: this tick's geometry and
-/// liveness, and the previous hello's beacons.
-struct SweepIn<'a> {
-    grid: &'a SpatialGrid,
-    positions: &'a [Point],
-    prev: &'a Beacons,
-    down_depth: &'a [u32],
-    /// Nodes that withheld their beacon this round (metered runs only).
-    low_energy: &'a [bool],
-    metered: bool,
-    now: f64,
-    /// Neighbor-table eligibility radius.
-    range: f64,
-    /// Age past which an entry not re-heard is lost.
-    staleness: f64,
-}
-
-/// Pure phase of the hello tick: rewrites the neighbor lists of the
-/// contiguous node range that starts at id `base` (`ids` and `survivors`
-/// are that range of `WorldCore::neighbor_ids` and
-/// `WorldCore::survivors`). Every old entry not re-heard is either kept
-/// as a survivor or lost; the entries heard at the previous hello are
-/// rebuilt from its beacons. It draws no randomness and emits nothing, so
-/// how the nodes are split into ranges cannot change any list; lost
-/// entries go to `lane.lost` in node-id order.
-fn sweep_range(
-    inp: &SweepIn<'_>,
-    base: usize,
-    ids: &mut [Vec<u32>],
-    survivors: &mut [Vec<(u32, NeighborEntry)>],
-    lane: &mut SweepLane,
-) {
-    let SweepLane {
-        ids: heard_ids,
-        kept,
-        lost,
-        heard,
-        round,
-    } = lane;
-    lost.clear();
-    if heard.len() < inp.positions.len() {
-        heard.resize(inp.positions.len(), 0);
-    }
-    for (k, (node_ids, node_survivors)) in ids.iter_mut().zip(survivors.iter_mut()).enumerate() {
-        let i = base + k;
-        if inp.down_depth[i] > 0 {
-            // Crashed: the lists were cleared at crash time and stay empty.
-            continue;
-        }
-        *round += 1;
-        let round = *round;
-        heard_ids.clear();
-        inp.grid
-            .for_each_in_range(inp.positions[i], inp.range, |id, _| {
-                if id == i || inp.down_depth[id] > 0 || (inp.metered && inp.low_energy[id]) {
-                    // Self, a crashed neighbor whose radio sends no beacon to
-                    // be heard, or an energy-saving node that withheld its
-                    // beacon this round.
-                    return;
-                }
-                heard[id] = round;
-                // Node counts fit in u32 (checked at construction).
-                heard_ids.push(id as u32);
-            });
-        // Entries not re-heard this round survive until they age out; the
-        // node id identifies "the same neighbor" across pseudonym
-        // rotations. The old table is the old heard ids, then the old
-        // survivors, so this keeps its order.
-        kept.clear();
-        let mut sort_out = |id: u32, e: NeighborEntry| {
-            if inp.now - e.heard_at < inp.staleness {
-                kept.push((id, e));
-            } else {
-                lost.push((NodeId(i), e));
-            }
-        };
-        for &id in node_ids.iter() {
-            if heard[id as usize] != round {
-                sort_out(id, inp.prev.entry(id));
-            }
-        }
-        for &(id, e) in node_survivors.iter() {
-            if heard[id as usize] != round {
-                sort_out(id, e);
-            }
-        }
-        node_ids.clear();
-        node_ids.extend_from_slice(heard_ids);
-        node_survivors.clear();
-        node_survivors.extend_from_slice(kept);
-    }
-}
-
 impl<M: Clone + std::fmt::Debug> WorldCore<M> {
     pub(crate) fn position(&self, node: NodeId) -> Point {
         self.positions[node.0]
@@ -597,7 +521,7 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
 
     /// Length of node `i`'s neighbor table, without filling it in.
     pub(crate) fn table_len(&self, i: usize) -> usize {
-        self.neighbor_ids[i].len() + self.survivors[i].len()
+        self.heard.spans[i].1 as usize + self.survivors[i].len()
     }
 
     /// Fills `nodes[i].neighbors` in from this hello's beacons and the
@@ -611,7 +535,7 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
         let beacons = &self.hello_scratch.beacons;
         let table = &mut self.nodes[i].neighbors;
         table.clear();
-        table.extend(self.neighbor_ids[i].iter().map(|&id| beacons.entry(id)));
+        table.extend(self.heard.of(i).iter().map(|&id| beacons.entry(id)));
         table.extend(self.survivors[i].iter().map(|&(_, e)| e));
     }
 
@@ -957,11 +881,12 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
     /// filled in here: [`WorldCore::fill_table`] does that on a node's
     /// first callback after the hello.
     ///
-    /// Three phases: a serial prologue (rotation, election: every RNG
-    /// draw and trace event, in id order; then the beacon snapshot), the
-    /// pure list rewrite ([`sweep_range`], split over `sweep_lanes`
-    /// threads), and a serial epilogue (lost entries in id order, beacon
-    /// and energy accounting).
+    /// Three phases: a prologue (rotation, election: every RNG draw and
+    /// trace event, in id order; then the beacon snapshot), the pure list
+    /// rewrite (one cell-order scan, [`SpatialGrid::for_each_heard`],
+    /// that sorts each listener's old entries into kept or lost right
+    /// after its list is built), and an epilogue (lost entries put in
+    /// node-id order, beacon and energy accounting).
     fn hello_tick(&mut self) {
         let now = self.queue.now();
         // Pseudonym rotation first so tables carry fresh pseudonyms. A
@@ -1040,66 +965,97 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
                 .zip(self.positions.iter().copied()),
         );
         self.table_filled.fill(false);
-        // Contiguous ranges of `chunk` nodes, one per lane.
+        std::mem::swap(&mut self.heard, &mut scratch.prev_heard);
+        // A node down at this hello is no listener: its span stays empty.
+        self.heard.spans.fill((0, 0));
         let n = self.nodes.len();
-        let chunk = n.div_ceil(self.sweep_lanes);
-        let lanes = n.div_ceil(chunk);
-        if scratch.lanes.len() < lanes {
-            scratch.lanes.resize_with(lanes, SweepLane::default);
+        if scratch.stamps.len() < n {
+            scratch.stamps.resize(n, 0);
         }
-        let inp = SweepIn {
-            grid: &self.grid,
-            positions: &self.positions,
-            prev: &scratch.prev_beacons,
-            down_depth: &self.down_depth,
-            low_energy: &self.low_energy,
-            metered,
-            now,
+        let down_depth = &self.down_depth;
+        let low_energy = &self.low_energy;
+        // Live nodes listen. Those that beacon are heard, unless the
+        // meter has them withhold their beacon this round.
+        self.grid.pack(&mut scratch.cells, |id| {
+            down_depth[id] == 0 && !(metered && low_energy[id])
+        });
+        let HelloScratch {
+            prev_beacons,
+            prev_heard,
+            cells,
+            stamps,
+            round,
+            kept,
+            lost_cells,
+            lost_runs,
+            ..
+        } = scratch;
+        lost_cells.clear();
+        lost_runs.clear();
+        let HeardLists { ids, spans } = &mut self.heard;
+        let survivors = &mut self.survivors;
+        self.grid.for_each_heard(
+            cells,
             range,
-            staleness,
-        };
-        if lanes == 1 {
-            sweep_range(
-                &inp,
-                0,
-                &mut self.neighbor_ids,
-                &mut self.survivors,
-                &mut scratch.lanes[0],
-            );
-        } else {
-            // The calling thread sweeps the first range while the others
-            // run on scoped threads.
-            let inp = &inp;
-            std::thread::scope(|s| {
-                let mut ranges = self
-                    .neighbor_ids
-                    .chunks_mut(chunk)
-                    .zip(self.survivors.chunks_mut(chunk))
-                    .zip(scratch.lanes.iter_mut())
-                    .enumerate();
-                let (_, ((ids, survivors), lane)) = ranges.next().expect("at least one node");
-                for (k, ((ids, survivors), lane)) in ranges {
-                    s.spawn(move || sweep_range(inp, k * chunk, ids, survivors, lane));
+            |id| down_depth[id] == 0,
+            ids,
+            |i, at, heard| {
+                // A list is at most every node, and node counts fit a u32
+                // (checked at construction); the offset is checked.
+                let at = u32::try_from(at).expect("a hello's heard lists fit u32 offsets");
+                spans[i] = (at, heard.len() as u32);
+                *round += 1;
+                let round = *round;
+                for &id in heard {
+                    stamps[id as usize] = round;
                 }
-                sweep_range(inp, 0, ids, survivors, lane);
-            });
-        }
-        // Lanes cover ascending id ranges, so lane order is id order.
+                // Entries not re-heard this round survive until they age
+                // out; the node id identifies "the same neighbor" across
+                // pseudonym rotations. The old table is the old heard
+                // ids, then the old survivors, so this keeps its order.
+                kept.clear();
+                let lost_at = lost_cells.len();
+                let mut sort_out = |id: u32, e: NeighborEntry| {
+                    if now - e.heard_at < staleness {
+                        kept.push((id, e));
+                    } else {
+                        lost_cells.push(e);
+                    }
+                };
+                for &id in prev_heard.of(i) {
+                    if stamps[id as usize] != round {
+                        sort_out(id, prev_beacons.entry(id));
+                    }
+                }
+                for &(id, e) in &survivors[i] {
+                    if stamps[id as usize] != round {
+                        sort_out(id, e);
+                    }
+                }
+                survivors[i].clear();
+                survivors[i].extend_from_slice(kept);
+                if lost_cells.len() > lost_at {
+                    lost_runs.push((i, lost_at..lost_cells.len()));
+                }
+            },
+        );
+        // The sweep met the nodes in cell order; hand their lost entries
+        // on in node-id order, each node's in its old table's order. Each
+        // node has at most one run, so the unstable sort is deterministic
+        // (and, unlike a stable one, needs no buffer).
+        lost_runs.sort_unstable_by_key(|(node, _)| *node);
         scratch.lost.clear();
-        for lane in &scratch.lanes[..lanes] {
-            scratch.lost.extend_from_slice(&lane.lost);
+        for (node, run) in &scratch.lost_runs {
+            let node = NodeId(*node);
+            let run = &scratch.lost_cells[run.clone()];
+            scratch.lost.extend(run.iter().map(|&e| (node, e)));
         }
         // Each beaconing node broadcast one beacon this interval; charge
         // the beacon airtime (tx once per node, rx once per table entry).
         // Under the meter, a node below the relay threshold withheld its
-        // beacon and is excluded from the beacon accounting.
-        let low_energy = &self.low_energy;
-        let beaconing = self
-            .down_depth
-            .iter()
-            .enumerate()
-            .filter(|&(i, &d)| d == 0 && !(metered && low_energy[i]))
-            .count();
+        // beacon and is excluded from the beacon accounting: the beaconing
+        // nodes are the ones packed for the sweep.
+        let beaconing = scratch.cells.len();
         self.metrics.control_frames += beaconing as u64;
         self.metrics.control_bytes += (beaconing * HELLO_BYTES) as u64;
         let beacon_airtime =
@@ -1138,8 +1094,12 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
         // apart at full speed. This models the link-quality filtering
         // every practical beacon protocol applies and avoids committing
         // unicasts to edge-of-range neighbors.
+        // No beacon is heard past the radio range, which is also the
+        // grid's cell, as the hello sweep needs (`for_each_heard`); only
+        // a negative speed would take the margin above it.
         let range = (self.cfg.mac.range_m - 2.0 * self.cfg.speed * self.cfg.hello_interval_s)
-            .max(self.cfg.mac.range_m * 0.5);
+            .max(self.cfg.mac.range_m * 0.5)
+            .min(self.cfg.mac.range_m);
         // An entry survives `k` missed hellos (k = neighbor_staleness
         // factor); the half-interval tolerance keeps the comparison robust
         // to float accumulation, and with the default k = 1 reproduces the
@@ -1415,11 +1375,6 @@ impl<P: ProtocolNode> World<P> {
         // Energy vectors are sized only for metered scenarios; an empty
         // `energy_j` is the runtime's "no meter" signal.
         let metered_nodes = if cfg.energy.metered() { cfg.nodes } else { 0 };
-        let sweep_lanes = if cfg.nodes >= PARALLEL_SWEEP_MIN_NODES {
-            std::thread::available_parallelism().map_or(1, |p| p.get().min(MAX_SWEEP_LANES))
-        } else {
-            1
-        };
         let mut core = WorldCore {
             grid: SpatialGrid::new(cfg.field(), cfg.mac.range_m),
             location: LocationService::new(cfg.nodes, cfg.location),
@@ -1437,9 +1392,11 @@ impl<P: ProtocolNode> World<P> {
             down_depth: vec![0; cfg.nodes],
             epochs: vec![0; cfg.nodes],
             region_victims: vec![Vec::new(); cfg.faults.regional_outages.len()],
-            hello_scratch: HelloScratch::default(),
-            sweep_lanes: 1,
-            neighbor_ids: vec![Vec::new(); cfg.nodes],
+            hello_scratch: HelloScratch {
+                prev_heard: HeardLists::new(cfg.nodes),
+                ..HelloScratch::default()
+            },
+            heard: HeardLists::new(cfg.nodes),
             survivors: vec![Vec::new(); cfg.nodes],
             table_filled: vec![false; cfg.nodes],
             rx_lists: Vec::new(),
@@ -1455,10 +1412,7 @@ impl<P: ProtocolNode> World<P> {
         };
         core.refresh_positions();
         core.rebuild_grid();
-        // The construction round grows every list from empty, which
-        // measured slower split across threads than on one.
         core.hello_tick();
-        core.sweep_lanes = sweep_lanes;
         core.location_tick();
         // Nodes that start with an empty battery (or drained it on the
         // construction beacon round) die at t = 0. Their depletion events
@@ -1834,7 +1788,7 @@ impl<P: ProtocolNode> World<P> {
         });
         // Volatile runtime state dies with the node; its table fills in
         // empty.
-        self.core.neighbor_ids[node.0].clear();
+        self.core.heard.clear(node.0);
         self.core.survivors[node.0].clear();
         self.core.table_filled[node.0] = false;
         self.core.tx_busy_until[node.0] = 0.0;
@@ -1981,9 +1935,15 @@ impl<P: ProtocolNode> World<P> {
             // dispatched (so the RNG stream matches a construction-time
             // sweep) but after the caller had a chance to attach sinks,
             // observers, and audits — startup-frame traffic is traced.
+            // The profiler charges the sweep, first table fills included,
+            // to the `start` class; it dispatches no event.
             self.started = true;
+            let start = self.profile_enabled.then(std::time::Instant::now);
             for i in 0..self.core.cfg.nodes {
                 self.with_proto(NodeId(i), ON_START, |p, api| p.on_start(api));
+            }
+            if let Some(start) = start {
+                self.profile_wall_s += charge(&mut self.profile_callbacks[START], 1, start);
             }
         }
         let horizon = t.min(self.core.cfg.duration_s + 1.0);
@@ -2257,90 +2217,6 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    type LostLog = Rc<RefCell<Vec<(NodeId, NeighborEntry)>>>;
-
-    /// Sends nothing; logs every `on_neighbor_lost` delivery, in the order
-    /// the runtime makes them, into a log shared by all nodes.
-    struct LostRecorder {
-        id: NodeId,
-        log: LostLog,
-    }
-
-    impl ProtocolNode for LostRecorder {
-        type Msg = ();
-        fn name() -> &'static str {
-            "LOST-RECORDER"
-        }
-        fn on_data_request(&mut self, _api: &mut Api<'_, ()>, _req: &DataRequest) {}
-        fn on_frame(&mut self, _api: &mut Api<'_, ()>, _frame: Frame<()>) {}
-        fn on_neighbor_lost(&mut self, _api: &mut Api<'_, ()>, neighbor: &NeighborEntry) {
-            self.log.borrow_mut().push((self.id, *neighbor));
-        }
-    }
-
-    fn world(lanes: usize) -> (World<LostRecorder>, LostLog) {
-        let mut cfg = ScenarioConfig::default()
-            .with_nodes_scaled_field(600)
-            .with_duration(40.0);
-        cfg.traffic.pairs = 0;
-        cfg.faults = FaultPlan::churn(600, 0.2, 40.0, 7);
-        cfg.neighbor_staleness_factor = 3.0;
-        cfg.pseudonym_lifetime_s = 4.0;
-        cfg.energy.initial_j = Some(2.0);
-        cfg.energy.idle_watts = 0.01;
-        cfg.energy.relay_threshold_fraction = 0.5;
-        cfg.energy.cluster_head_fraction = 0.1;
-        let log = LostLog::default();
-        let mut w = World::new(cfg, 11, |id, _| LostRecorder {
-            id,
-            log: log.clone(),
-        });
-        w.core.sweep_lanes = lanes;
-        (w, log)
-    }
-
-    #[test]
-    fn hello_sweep_is_identical_on_one_and_three_lanes() {
-        let (mut serial, serial_lost) = world(1);
-        let (mut split, split_lost) = world(3);
-        let (mut any_down, mut any_low) = (false, false);
-        for hello in 1..=30 {
-            let t = hello as f64 + 0.5;
-            serial.run_until(t);
-            split.run_until(t);
-            for i in 0..600 {
-                serial.core.fill_table(i);
-                split.core.fill_table(i);
-                let (a, b) = (&serial.core, &split.core);
-                assert_eq!(
-                    a.nodes[i].neighbors, b.nodes[i].neighbors,
-                    "node {i} table after hello {hello}"
-                );
-                assert_eq!(
-                    a.neighbor_ids[i], b.neighbor_ids[i],
-                    "node {i} heard ids after hello {hello}"
-                );
-                assert_eq!(
-                    a.survivors[i], b.survivors[i],
-                    "node {i} survivors after hello {hello}"
-                );
-                assert_eq!(a.nodes[i].neighbors.len(), a.table_len(i));
-            }
-            assert_eq!(
-                *serial_lost.borrow(),
-                *split_lost.borrow(),
-                "lost entries after hello {hello}"
-            );
-            any_down |= serial.core.down_depth.iter().any(|&d| d > 0);
-            any_low |= serial.core.low_energy.iter().any(|&l| l);
-        }
-        // The run exercised every input the sweep reads.
-        assert!(any_down, "no node crashed");
-        assert!(any_low, "no node withheld its beacon");
-        assert!(!serial_lost.borrow().is_empty(), "no entry went stale");
-        assert!(serial.counter("pseudonym.rotations") > 600);
-    }
-
     /// The eager reference for the lazy tables: at every hello it
     /// rebuilds each live node's whole table, as the runtime did before
     /// tables were filled in on demand. Heard entries come first in grid
@@ -2350,6 +2226,9 @@ mod tests {
     struct EagerTables {
         /// Per node: the table, with each entry's node id.
         tables: Vec<Vec<(u32, NeighborEntry)>>,
+        /// Per node: how many of its table's entries were heard at the
+        /// last hello (the rest are survivors).
+        heard: Vec<usize>,
         /// Entries the last hello aged out, in node-id order.
         lost: Vec<(NodeId, NeighborEntry)>,
         /// `on_neighbor_lost` deliveries since the last hello.
@@ -2368,9 +2247,11 @@ mod tests {
             let (range, staleness) = core.table_limits();
             let metered = core.energy_metered();
             self.tables.resize(core.nodes.len(), Vec::new());
+            self.heard.resize(core.nodes.len(), 0);
             self.lost.clear();
             for i in 0..core.nodes.len() {
                 if core.down_depth[i] > 0 {
+                    self.heard[i] = 0;
                     continue;
                 }
                 let mut table = Vec::new();
@@ -2387,6 +2268,7 @@ mod tests {
                         }
                     });
                 let heard = table.len();
+                self.heard[i] = heard;
                 for &(id, e) in &self.tables[i] {
                     if table[..heard].iter().any(|&(h, _)| h == id) {
                         continue;
@@ -2405,10 +2287,31 @@ mod tests {
 
         /// Empties the tables of crashed nodes.
         fn crashed(&mut self, down_depth: &[u32]) {
-            for (table, &depth) in self.tables.iter_mut().zip(down_depth) {
+            for ((table, heard), &depth) in
+                self.tables.iter_mut().zip(&mut self.heard).zip(down_depth)
+            {
                 if depth > 0 {
                     table.clear();
+                    *heard = 0;
                 }
+            }
+        }
+
+        /// Checks every node's lists and filled-in table against the
+        /// reference, just after the hello at `now`.
+        fn check_all<M: Clone + std::fmt::Debug>(&self, core: &mut WorldCore<M>, now: f64) {
+            for (i, (table, &heard)) in self.tables.iter().zip(&self.heard).enumerate() {
+                let ids: Vec<u32> = table[..heard].iter().map(|&(id, _)| id).collect();
+                assert_eq!(core.heard.of(i), ids, "node {i} heard ids at t = {now}");
+                assert_eq!(
+                    core.survivors[i],
+                    table[heard..],
+                    "node {i} survivors at t = {now}"
+                );
+                core.fill_table(i);
+                let want: Vec<NeighborEntry> = table.iter().map(|&(_, e)| e).collect();
+                assert_eq!(core.nodes[i].neighbors, want, "node {i} table at t = {now}");
+                assert_eq!(core.table_len(i), want.len());
             }
         }
     }
@@ -2482,12 +2385,11 @@ mod tests {
 
     /// Dispatches the next FEL entry as the run loop does, and brings the
     /// reference up to date: rebuilt after a hello (whose lost list must
-    /// be the one the protocols were handed), emptied for crashed nodes.
-    /// Returns false once the queue is empty.
-    fn step(w: &mut World<TableProbe>, oracle: &Oracle) -> bool {
-        let Some((_, ev)) = w.core.queue.pop() else {
-            return false;
-        };
+    /// be the one the protocols were handed, and whose lists and tables
+    /// must all match it), emptied for crashed nodes. The queue must not
+    /// be empty.
+    fn step(w: &mut World<TableProbe>, oracle: &Oracle) {
+        let (_, ev) = w.core.queue.pop().expect("a pending event");
         match ev {
             Event::Deliver { frame, to } => w.deliver_all(None, frame, &to).expect("no budget"),
             Event::HelloTick => {
@@ -2497,17 +2399,88 @@ mod tests {
                 let o = &mut *o;
                 assert_eq!(o.delivered, o.lost, "lost entries at t = {}", w.now());
                 o.delivered.clear();
+                let now = w.now();
+                o.check_all(&mut w.core, now);
             }
             ev => w.dispatch(ev),
         }
         oracle.borrow_mut().crashed(&w.core.down_depth);
-        true
+    }
+
+    /// What the runs against the eager reference exercised.
+    #[derive(Default)]
+    struct Coverage {
+        /// Tables read and the entries they held; entries kept past a
+        /// missed hello, entries aged out, and pseudonym rotations.
+        reads: usize,
+        rows: usize,
+        survivors: usize,
+        aged_out: usize,
+        rotations: u64,
+        /// Whether any node was down, or withheld its beacon, at a read.
+        down: bool,
+        low: bool,
+    }
+
+    /// The energy meter of the reference runs: a relay threshold that has
+    /// drained nodes withhold their beacon, and cluster-head draws.
+    fn metered(cfg: &mut ScenarioConfig, initial_j: f64) {
+        cfg.energy.initial_j = Some(initial_j);
+        cfg.energy.idle_watts = 0.01;
+        cfg.energy.relay_threshold_fraction = 0.5;
+        cfg.energy.cluster_head_fraction = 0.1;
+    }
+
+    /// Runs `cfg` under the eager reference to the run loop's horizon
+    /// (the duration plus a grace second), reading the tables of random
+    /// nodes at random times between the events (`rng` draws those), and
+    /// adds what it exercised to `coverage`.
+    fn run_against_eager(
+        cfg: ScenarioConfig,
+        seed: u64,
+        rng: &mut StdRng,
+        coverage: &mut Coverage,
+    ) {
+        let nodes = cfg.nodes;
+        let horizon = cfg.duration_s + 1.0;
+        let oracle = Oracle::default();
+        let mut w = World::new(cfg, seed, |id, _| TableProbe {
+            id,
+            oracle: oracle.clone(),
+        });
+        oracle.borrow_mut().hello(&w.core);
+        oracle.borrow().check_all(&mut w.core, 0.0);
+        // The deferred on_start sweep, and the t = 0 energy deaths.
+        w.run_until(0.0);
+        oracle.borrow_mut().crashed(&w.core.down_depth);
+        let mut read_at = 0.0;
+        loop {
+            read_at += rng.gen_range(0.0..0.6);
+            while w.core.queue.peek_time().is_some_and(|t| t <= read_at) {
+                step(&mut w, &oracle);
+            }
+            for _ in 0..5 {
+                let node = NodeId(rng.gen_range(0..nodes));
+                w.with_proto(node, ON_TIMER, |p, api| p.probe(api));
+            }
+            coverage.down |= w.core.down_depth.iter().any(|&d| d > 0);
+            coverage.low |= w.core.low_energy.iter().any(|&l| l);
+            if !w.core.queue.peek_time().is_some_and(|t| t <= horizon) {
+                break;
+            }
+            step(&mut w, &oracle);
+        }
+        let o = oracle.borrow();
+        coverage.reads += o.reads;
+        coverage.rows += o.rows;
+        coverage.survivors += o.survivors;
+        coverage.aged_out += o.aged_out;
+        coverage.rotations += w.counter("pseudonym.rotations");
     }
 
     #[test]
     fn lazy_tables_match_an_eager_rebuild() {
-        let mut coverage = EagerTables::default();
-        let (mut down, mut low) = (false, false);
+        let mut coverage = Coverage::default();
         alert_rng::check(8, 0x7AB1E5, |rng| {
             let nodes = rng.gen_range(150..400);
             let duration = 12.0;
@@ -2517,10 +2490,7 @@ mod tests {
             cfg.traffic.pairs = rng.gen_range(0..4);
             cfg.neighbor_staleness_factor = if rng.gen_bool(0.5) { 3.0 } else { 1.0 };
             cfg.pseudonym_lifetime_s = 4.0;
-            cfg.energy.initial_j = Some(rng.gen_range(0.2..0.6));
-            cfg.energy.idle_watts = 0.01;
-            cfg.energy.relay_threshold_fraction = 0.5;
-            cfg.energy.cluster_head_fraction = 0.1;
+            metered(&mut cfg, rng.gen_range(0.2..0.6));
             // Crashes and recoveries at arbitrary times between hellos.
             for _ in 0..nodes / 8 {
                 let at_s = rng.gen_range(0.1..duration);
@@ -2533,45 +2503,53 @@ mod tests {
                     recover_s,
                 });
             }
-            let oracle = Oracle::default();
-            let mut w = World::new(cfg, rng.gen_range(0..1000), |id, _| TableProbe {
-                id,
-                oracle: oracle.clone(),
-            });
-            w.core.sweep_lanes = if rng.gen_bool(0.5) { 3 } else { 1 };
-            oracle.borrow_mut().hello(&w.core);
-            // The deferred on_start sweep, and the t = 0 energy deaths.
-            w.run_until(0.0);
-            oracle.borrow_mut().crashed(&w.core.down_depth);
-            // Read random tables at random times, between the events.
-            let mut read_at = 0.0;
-            loop {
-                read_at += rng.gen_range(0.0..0.6);
-                while w.core.queue.peek_time().is_some_and(|t| t <= read_at) {
-                    step(&mut w, &oracle);
-                }
-                for _ in 0..5 {
-                    let node = NodeId(rng.gen_range(0..nodes));
-                    w.with_proto(node, ON_TIMER, |p, api| p.probe(api));
-                }
-                down |= w.core.down_depth.iter().any(|&d| d > 0);
-                low |= w.core.low_energy.iter().any(|&l| l);
-                if !step(&mut w, &oracle) {
-                    break;
-                }
-            }
-            let o = oracle.borrow();
-            coverage.reads += o.reads;
-            coverage.rows += o.rows;
-            coverage.survivors += o.survivors;
-            coverage.aged_out += o.aged_out;
+            let seed = rng.gen_range(0..1000);
+            run_against_eager(cfg, seed, rng, &mut coverage);
         });
         // The cases exercised every input the sweep and the fill read.
         assert!(coverage.reads > 10_000, "{} reads", coverage.reads);
         assert!(coverage.rows > 10 * coverage.reads, "tables too small");
         assert!(coverage.survivors > 0, "no entry outlived a missed hello");
         assert!(coverage.aged_out > 0, "no entry aged out");
-        assert!(down, "no node crashed");
-        assert!(low, "no node withheld its beacon");
+        assert!(coverage.down, "no node crashed");
+        assert!(coverage.low, "no node withheld its beacon");
+
+        // A field one grid cell high: every cell's neighborhood is a
+        // single row, and the sweep's rows above and below are missing.
+        let mut strip = Coverage::default();
+        alert_rng::check(1, 0x5781B, |rng| {
+            let nodes = rng.gen_range(150..400);
+            let mut cfg = ScenarioConfig::default().with_duration(12.0);
+            let h = rng.gen_range(0.4..1.0) * cfg.mac.range_m;
+            let w = cfg.field_w * cfg.field_h * nodes as f64 / cfg.nodes as f64 / h;
+            cfg = cfg.with_nodes(nodes).with_field(w, h);
+            cfg.traffic.pairs = rng.gen_range(0..4);
+            cfg.neighbor_staleness_factor = 3.0;
+            cfg.pseudonym_lifetime_s = 4.0;
+            cfg.faults = FaultPlan::churn(nodes, 0.2, 12.0, rng.gen_range(0..1000));
+            let seed = rng.gen_range(0..1000);
+            run_against_eager(cfg, seed, rng, &mut strip);
+        });
+        assert!(strip.rows > 10 * strip.reads, "strip tables too small");
+        assert!(strip.survivors > 0 && strip.aged_out > 0 && strip.down);
+
+        // A pinned scenario: 600 nodes on a scaled field, a churn plan,
+        // staleness factor 3, a metered relay threshold and 4 s
+        // pseudonyms, over 40 simulated seconds.
+        let mut pinned = Coverage::default();
+        let mut cfg = ScenarioConfig::default()
+            .with_nodes_scaled_field(600)
+            .with_duration(40.0);
+        cfg.traffic.pairs = 0;
+        cfg.faults = FaultPlan::churn(600, 0.2, 40.0, 7);
+        cfg.neighbor_staleness_factor = 3.0;
+        cfg.pseudonym_lifetime_s = 4.0;
+        metered(&mut cfg, 2.0);
+        run_against_eager(cfg, 11, &mut StdRng::seed_from_u64(11), &mut pinned);
+        assert!(pinned.down, "no node crashed");
+        assert!(pinned.low, "no node withheld its beacon");
+        assert!(pinned.aged_out > 0, "no entry went stale");
+        assert!(pinned.survivors > 0, "no entry outlived a missed hello");
+        assert!(pinned.rotations > 600, "{} rotations", pinned.rotations);
     }
 }

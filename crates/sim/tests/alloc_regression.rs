@@ -192,10 +192,11 @@ fn profiled_steady_state_meets_the_unprofiled_bound() {
 #[test]
 fn parallel_hello_sweep_allocates_per_lane_not_per_node() {
     let _serial = serial();
-    // From 4096 nodes the hello sweep builds neighbor tables on up to 8
-    // scoped threads. Each spawn allocates a few times, so a round may
-    // cost O(lanes) allocations, plus rare table growth past a buffer's
-    // historical peak; a per-node allocation would cost >= 4096.
+    // The hello sweep runs on one thread at every size, into packed
+    // lists and scratch that keep their capacity, so a steady-state
+    // 4096-node hello allocates nothing; only rare growth past a
+    // buffer's historical peak may. A per-node allocation would cost
+    // >= 4096 per round.
     const NODES: usize = 4096;
     const ROUNDS: u64 = 10;
 

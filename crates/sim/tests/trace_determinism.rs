@@ -282,8 +282,17 @@ fn profiling_does_not_perturb_the_trace() {
         assert!(plain_world.run_profile().callbacks.is_empty());
 
         let p = w.run_profile();
-        let classes: u64 = p.callbacks.values().map(|c| c.count).sum();
+        // `start` is the one startup sweep, not a dispatched event.
+        assert_eq!(p.callbacks["start"].count, 1);
+        let classes: u64 = p
+            .callbacks
+            .iter()
+            .filter(|(class, _)| *class != "start")
+            .map(|(_, c)| c.count)
+            .sum();
         assert_eq!(classes, p.events_dispatched, "every event has one class");
+        let seconds: f64 = p.callbacks.values().map(|c| c.seconds).sum();
+        assert!(seconds <= p.wall_clock_s * (1.0 + 1e-9));
         // No crashes, so every receiver the channel counted reached its
         // protocol.
         let rx = w.counter("rx.frames");
@@ -296,7 +305,8 @@ fn profiling_does_not_perturb_the_trace() {
                 "deliver",
                 "hello_tick",
                 "location_tick",
-                "mobility_tick"
+                "mobility_tick",
+                "start"
             ]
         );
         assert_eq!(

@@ -37,7 +37,9 @@ pub struct RunProfile {
     /// Maximum number of entries simultaneously pending in the FEL (a
     /// frame in flight is one entry, whatever its receiver count).
     pub fel_high_water: u64,
-    /// Wall-clock accounting per event class ("deliver", "timer", …).
+    /// Wall-clock accounting per event class ("deliver", "timer", …),
+    /// plus "start": the deferred `on_start` sweep before the first
+    /// event, counted once and not a dispatched event.
     pub callbacks: BTreeMap<String, CallbackProfile>,
     /// Wall-clock accounting per protocol callback ("on_frame",
     /// "on_timer", "on_data_request", "on_start", "on_neighbor_lost") —
