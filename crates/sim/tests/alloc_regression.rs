@@ -193,10 +193,11 @@ fn profiled_steady_state_meets_the_unprofiled_bound() {
 fn parallel_hello_sweep_allocates_per_lane_not_per_node() {
     let _serial = serial();
     // The hello sweep runs on one thread at every size, into packed
-    // lists and scratch that keep their capacity, so a steady-state
-    // 4096-node hello allocates nothing; only rare growth past a
-    // buffer's historical peak may. A per-node allocation would cost
-    // >= 4096 per round.
+    // lists and scratch that keep their capacity, so at 4096 nodes the
+    // sweep itself allocates nothing. A round still allocates when a
+    // buffer outgrows its historical peak, chiefly the per-node tables
+    // filled for the hello's `on_neighbor_lost` calls (about 50-90 per
+    // round here). A per-node allocation would cost >= 4096 per round.
     const NODES: usize = 4096;
     const ROUNDS: u64 = 10;
 
