@@ -34,7 +34,7 @@ fn print_usage() {
     eprintln!(
         "usage:\n  \
          alertd serve --dir DIR [--tcp HOST:PORT | --socket PATH] [--jobs N]\n              \
-         [--queue N] [--idle-timeout-s S] [--max-attempts N]\n              \
+         [--queue N] [--idle-timeout-s S]\n              \
          [--cap-max-events N] [--cap-max-sim-s S] [--cap-max-instant-events N]"
     );
 }
@@ -77,10 +77,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             {
                 Some(v) if v > 0.0 => config.idle_timeout = Duration::from_secs_f64(v),
                 _ => return ExitCode::from(2),
-            },
-            "--max-attempts" => match val("--max-attempts").and_then(|v| v.parse().ok()) {
-                Some(v) => config.max_attempts = v,
-                None => return ExitCode::from(2),
             },
             "--cap-max-events" => match val("--cap-max-events").and_then(|v| v.parse().ok()) {
                 Some(v) => config.cap.max_events = Some(v),

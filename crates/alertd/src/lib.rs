@@ -2,8 +2,8 @@
 //!
 //! The sim-as-a-service control plane: a long-lived, **crash-only**
 //! daemon that accepts simulation jobs over a newline-delimited JSON
-//! protocol (TCP or Unix socket), executes them through the
-//! fault-tolerant pool machinery of `alert-bench`, and publishes result
+//! protocol (TCP or Unix socket), executes them on the in-order
+//! executor of `alert-bench`, and publishes result
 //! artifacts by atomic rename into a versioned `results/` directory.
 //!
 //! Crash-only means the recovery path *is* the startup path (see

@@ -12,9 +12,12 @@
 //!    and advertise the endpoint in `<dir>/alertd.endpoint` so
 //!    `alertctl` needs only `--dir`.
 //! 3. **Execute.** A supervised dispatcher drains admitted jobs in
-//!    batches through [`alert_bench::run_pool`] — leases, retries and
-//!    panic isolation included — and commits each outcome by atomic
-//!    store promotion plus a journal record, in that order.
+//!    batches through the in-order executor
+//!    ([`alert_bench::run_ordered`]). Each job is journaled as leased,
+//!    runs once with its panics caught, and its outcome is committed in
+//!    batch order by atomic store promotion plus a journal record, in
+//!    that order. A failing job is not retried: it is a pure function
+//!    of its spec, so it would fail the same way again.
 //! 4. **Drain.** `alertctl drain` stops admission, waits for every job
 //!    to reach a terminal state, flushes the health timeseries, removes
 //!    the endpoint, and [`serve`] returns cleanly.
@@ -27,8 +30,7 @@ use crate::protocol::{ErrorKind, QueryRequest, Request, Response};
 use crate::spec::{run_job, JobSpec};
 use crate::store::ResultStore;
 use crate::supervisor::{supervise, SupervisorOptions};
-use alert_bench::UnitOutcome;
-use alert_bench::{run_pool, write_atomic, DirLock, LockError, PoolOptions, WorkUnit};
+use alert_bench::{panic_message, run_ordered, write_atomic, DirLock, LockError};
 use alert_sim::{
     filter_events, follow_packet, parse_trace, render_events_csv, render_events_jsonl,
     render_windows_csv, render_windows_json, window_aggregates, EventFilter, MetricsTimeseries,
@@ -60,14 +62,12 @@ pub struct ServerConfig {
     pub dir: PathBuf,
     /// Listen address.
     pub bind: BindAddr,
-    /// Worker threads in the execution pool.
+    /// Worker threads running a batch of jobs.
     pub jobs: usize,
     /// Admission bound: maximum non-terminal jobs before `busy`.
     pub queue_cap: usize,
     /// Per-connection read timeout; an idle client is disconnected.
     pub idle_timeout: Duration,
-    /// Execution attempts per job before it commits as failed.
-    pub max_attempts: u32,
     /// Budget cap applied to every job (tightened per-field against the
     /// job's own budget) so one submission cannot wedge a worker.
     pub cap: RunBudget,
@@ -81,7 +81,6 @@ impl Default for ServerConfig {
             jobs: 2,
             queue_cap: 64,
             idle_timeout: Duration::from_secs(30),
-            max_attempts: 2,
             cap: RunBudget::default(),
         }
     }
@@ -130,13 +129,9 @@ pub struct ServerStats {
     pub requests: u64,
 }
 
-/// Accumulated execution-pool health counters across batches.
+/// Jobs committed across batches, by outcome.
 #[derive(Debug, Clone, Copy, Default)]
 struct PoolCounters {
-    leases: u64,
-    lease_expired: u64,
-    retries: u64,
-    duplicates: u64,
     completed: u64,
     failed: u64,
 }
@@ -362,10 +357,10 @@ fn recover_job(
 }
 
 /// One dispatcher iteration: wait for admitted work (or drain), run the
-/// whole batch through the pool, commit outcomes. Returns `true` when
-/// the daemon is drained and the dispatcher should exit.
+/// whole batch on the executor, commit outcomes in batch order. Returns
+/// `true` when the daemon is drained and the dispatcher should exit.
 fn dispatch_once(shared: &Shared) -> bool {
-    let batch: Vec<WorkUnit<JobSpec>> = {
+    let batch: Vec<(u64, JobSpec)> = {
         let mut inner = shared.inner.lock().unwrap();
         loop {
             if !inner.pending.is_empty() {
@@ -379,76 +374,65 @@ fn dispatch_once(shared: &Shared) -> bool {
         let fps: Vec<u64> = inner.pending.drain(..).collect();
         inner.in_flight = fps.clone();
         fps.iter()
-            .map(|&fp| WorkUnit {
-                label: format!("{fp:016x}"),
-                fingerprint: fp,
-                input: inner.jobs[&fp].spec.clone(),
-            })
+            .map(|&fp| (fp, inner.jobs[&fp].spec.clone()))
             .collect()
     };
 
-    let opts = PoolOptions {
-        jobs: shared.config.jobs,
-        max_attempts: shared.config.max_attempts,
-        ..PoolOptions::default()
-    };
     let cap = shared.config.cap;
-    let stats = run_pool(
-        &batch,
-        &opts,
-        |_worker, unit| run_job(&unit.input, &cap),
-        |unit, worker, attempt, _t| {
-            // Journal the lease before the attempt runs: a crash now
+    run_ordered(
+        batch.len(),
+        shared.config.jobs,
+        None,
+        |worker, i| {
+            let (fp, spec) = &batch[i];
+            // Journal the lease before the job runs: a crash now
             // replays as an orphaned lease, which is what it is.
-            let mut inner = shared.inner.lock().unwrap();
-            let _ = inner.journal.append(&JobRecord::Lease {
-                fp: unit.fingerprint,
-                worker,
-                attempt,
-            });
-            if let Some(job) = inner.jobs.get_mut(&unit.fingerprint) {
-                job.state = JobState::Running;
+            {
+                let mut inner = shared.inner.lock().unwrap();
+                let _ = inner.journal.append(&JobRecord::Lease {
+                    fp: *fp,
+                    worker,
+                    attempt: 1,
+                });
+                if let Some(job) = inner.jobs.get_mut(fp) {
+                    job.state = JobState::Running;
+                }
             }
+            run_job(spec, &cap)
         },
-        |unit, outcome| commit_outcome(shared, unit.fingerprint, outcome),
+        |i, outcome| {
+            let outcome =
+                outcome.unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p))));
+            commit_outcome(shared, batch[i].0, outcome);
+        },
     );
 
     let mut inner = shared.inner.lock().unwrap();
-    inner.pool.leases += stats.leases;
-    inner.pool.lease_expired += stats.lease_expired;
-    inner.pool.retries += stats.retries;
-    inner.pool.duplicates += stats.duplicates;
     inner.in_flight.clear();
     shared.cond.notify_all();
     false
 }
 
-/// Commits one pool outcome: store promotion first (idempotent by
+/// Commits one job's outcome: store promotion first (idempotent by
 /// content), then the journal record, then the in-memory state. All
 /// errors fold into a `failed` state instead of panicking — the
 /// supervisor is for bugs, not for `io::Error`.
-fn commit_outcome(shared: &Shared, fp: u64, outcome: UnitOutcome<crate::spec::Artifacts>) {
+fn commit_outcome(shared: &Shared, fp: u64, outcome: Result<crate::spec::Artifacts, String>) {
     let mut inner = shared.inner.lock().unwrap();
-    let state = match outcome {
-        UnitOutcome::Completed(artifacts) => match shared.store.promote(fp, &artifacts) {
-            Ok(version) => {
-                inner.pool.completed += 1;
-                let _ = inner.journal.append(&JobRecord::Done { fp, version });
-                JobState::Done { version }
-            }
-            Err(e) => {
-                inner.pool.failed += 1;
-                let error = format!("result promotion failed: {e}");
-                let _ = inner.journal.append(&JobRecord::Failed {
-                    fp,
-                    error: error.clone(),
-                });
-                JobState::Failed { error }
-            }
-        },
-        UnitOutcome::Failed { error, attempts } => {
+    let promoted = outcome.and_then(|artifacts| {
+        shared
+            .store
+            .promote(fp, &artifacts)
+            .map_err(|e| format!("result promotion failed: {e}"))
+    });
+    let state = match promoted {
+        Ok(version) => {
+            inner.pool.completed += 1;
+            let _ = inner.journal.append(&JobRecord::Done { fp, version });
+            JobState::Done { version }
+        }
+        Err(error) => {
             inner.pool.failed += 1;
-            let error = format!("{error} (after {attempts} attempt(s))");
             let _ = inner.journal.append(&JobRecord::Failed {
                 fp,
                 error: error.clone(),
@@ -834,10 +818,6 @@ fn handle_health(shared: &Shared) -> Response {
         "daemon.worker_restarts".into(),
         u64::from(inner.worker_restarts),
     );
-    counters.insert("pool.leases".into(), inner.pool.leases);
-    counters.insert("pool.lease_expired".into(), inner.pool.lease_expired);
-    counters.insert("pool.retries".into(), inner.pool.retries);
-    counters.insert("pool.duplicates".into(), inner.pool.duplicates);
     counters.insert("pool.committed".into(), inner.pool.completed);
     counters.insert("pool.failed".into(), inner.pool.failed);
     if inner.series.samples.last().is_none_or(|s| uptime > s.t) {
@@ -871,10 +851,6 @@ fn handle_health(shared: &Shared) -> Response {
     }
     resp.with_num("worker_restarts", inner.worker_restarts)
         .with_num("requests", inner.requests)
-        .with_num("pool_leases", inner.pool.leases)
-        .with_num("pool_lease_expired", inner.pool.lease_expired)
-        .with_num("pool_retries", inner.pool.retries)
-        .with_num("pool_duplicates", inner.pool.duplicates)
         .with_num("pool_committed", inner.pool.completed)
         .with_num("pool_failed", inner.pool.failed)
 }
@@ -1295,6 +1271,56 @@ mod tests {
         }
 
         daemon.drain_on(&mut client);
+    }
+
+    /// A job that fails (here a budget abort under a tight daemon cap)
+    /// runs once: one `lease` record, then `failed`. The daemon keeps
+    /// serving, and a later job inside the cap still completes.
+    #[test]
+    fn a_failing_job_runs_once_and_the_next_still_completes() {
+        let daemon = Daemon::start_with(ServerConfig {
+            dir: scratch("fail_once"),
+            jobs: 2,
+            cap: RunBudget {
+                max_sim_seconds: Some(4.0),
+                ..RunBudget::default()
+            },
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(&daemon.dir);
+        let long = JobSpec {
+            duration_s: 8.0,
+            ..quick_spec(21)
+        };
+        let fp = long.fingerprint();
+        client.roundtrip(&Request::Submit {
+            spec: long,
+            force: false,
+        });
+        let failed = wait_done(&mut client, fp);
+        assert_eq!(failed.str_field("state"), Some("failed"), "{failed:?}");
+        let error = failed.str_field("error").expect("error text");
+        assert!(error.starts_with("run aborted"), "{error}");
+        assert!(!error.contains("attempt"), "{error}");
+        let journal =
+            std::fs::read_to_string(daemon.dir.join(crate::journal::JOURNAL_FILE)).unwrap();
+        let leases = journal
+            .lines()
+            .filter(|l| l.contains("\"rec\":\"lease\"") && l.contains(&format!("{fp:016x}")))
+            .count();
+        assert_eq!(leases, 1, "one lease for the failing job:\n{journal}");
+
+        let short = quick_spec(22);
+        let fp = short.fingerprint();
+        client.roundtrip(&Request::Submit {
+            spec: short,
+            force: false,
+        });
+        let done = wait_done(&mut client, fp);
+        assert_eq!(done.str_field("state"), Some("done"), "{done:?}");
+
+        let stats = daemon.drain_on(&mut client);
+        assert_eq!((stats.completed, stats.failed), (1, 1));
     }
 
     /// Drain wakes the blocked accept loop on every kind of bind, with

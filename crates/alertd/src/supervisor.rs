@@ -1,15 +1,15 @@
 //! Supervision of the daemon's dispatcher: restart on panic with
 //! capped exponential backoff.
 //!
-//! The execution pool already isolates *worker* panics per attempt
-//! ([`alert_bench::run_pool`] catches them and retries the unit). The
-//! supervisor guards the layer above: if the dispatcher thread itself
-//! dies — a panic in commit, promotion, or the pool driver — the daemon
-//! must not silently stop executing jobs while still accepting them.
-//! [`supervise`] restarts the body, tells the server which panic
-//! happened (so it can quarantine a job that kills the dispatcher
-//! twice), and backs off exponentially so a deterministic crash loop
-//! cannot spin a core.
+//! The executor already isolates a *job's* panic
+//! ([`alert_bench::run_ordered`] catches it, and the job is committed
+//! as failed). The supervisor guards the layer above: if the dispatcher
+//! thread itself dies — a panic in commit, promotion, or the executor's
+//! committer loop — the daemon must not silently stop executing jobs
+//! while still accepting them. [`supervise`] restarts the body, tells
+//! the server which panic happened (so it can quarantine a job that
+//! kills the dispatcher twice), and backs off exponentially so a
+//! deterministic crash loop cannot spin a core.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::thread;

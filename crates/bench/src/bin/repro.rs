@@ -18,34 +18,35 @@
 //! (protocol, run count, wall-clock seconds) so long sweeps are
 //! watchable.
 //!
-//! `--jobs N` fans the campaign across a fixed-size worker pool with
-//! leased work units, capped retry + exponential backoff, and a single
-//! committer that merges results in campaign order — stdout, CSVs, the
-//! journal, and the failure report are byte-identical to `--jobs 1`
-//! regardless of scheduling, and a crashed worker loses only its
-//! in-flight experiment (see DESIGN.md § 12).
+//! `--jobs N` runs up to N experiments at once on the in-order executor
+//! ([`alert_bench::run_ordered`]); the calling thread commits each
+//! result in campaign order, so stdout, CSVs, the journal and the
+//! failure report are byte-identical to `--jobs 1` regardless of
+//! scheduling (see DESIGN.md § 12).
 //!
-//! With `--csv DIR` every table is additionally written to
-//! `DIR/<experiment>.csv` — atomically (temp file + rename), so a
-//! killed campaign never leaves a truncated CSV — and a manifest
-//! journal (`manifest.jsonl`, schema `alert-repro-manifest/2` with
-//! lease + done/failed records) records each experiment's claim and
-//! outcome as it happens. `--resume` (requires `--csv`) skips
-//! experiments the journal shows as done with a matching config
-//! fingerprint and reclaims leases a dead run orphaned, so an
-//! interrupted campaign picks up where it died. An advisory
-//! `.orchestrator.lock` asserts single-orchestrator ownership of the
-//! directory; a second orchestrator exits 2 with a diagnostic instead
-//! of corrupting the journal. Pool health counters (`pool.leases`,
-//! `pool.lease_expired`, `pool.retries`, ...) are sampled into
+//! With `--csv DIR` the committer also writes every table to
+//! `DIR/<experiment>.csv` atomically (temp file, rename, directory
+//! fsync), so a killed campaign never leaves a truncated CSV, and then
+//! appends the experiment's `done`/`failed` line to the manifest
+//! journal (`manifest.jsonl`, schema `alert-repro-manifest/2`).
+//! `--resume` (requires `--csv`) skips experiments the journal shows as
+//! done with a matching config fingerprint, so an interrupted campaign
+//! picks up where it died; it also reports the orphaned lease lines an
+//! older build's journal may hold, and re-runs those experiments. An
+//! advisory `.orchestrator.lock` asserts single-orchestrator ownership
+//! of the directory; a second orchestrator exits 2 with a diagnostic
+//! instead of corrupting the journal. The committed and failed counts
+//! (`pool.committed`, `pool.failed`) are sampled into
 //! `DIR/pool-timeseries.jsonl` (`alert-timeseries/1`, readable by
 //! `tracequery rates`).
 //!
 //! Failures don't sink the campaign: a panicking or aborted run is
 //! quarantined into `DIR/failures.jsonl` (with a one-line `simrun`
 //! replay command) and its experiment is journaled as `failed` so a
-//! later `--resume` retries it, while the remaining experiments run to
-//! completion.
+//! later `--resume` re-runs it, while the remaining experiments run to
+//! completion. An experiment that panics outright runs once and is
+//! journaled as failed; it is not retried, since it would fail the same
+//! way again.
 //!
 //! Exit codes: `0` clean, `1` runtime failure (I/O error, or any
 //! quarantined run), `2` usage error.
@@ -54,13 +55,14 @@ use alert_bench::figures::{
     analytic, anonymity, attacks, claims, faults, participants, performance, zone,
 };
 use alert_bench::{
-    drain_failures, fingerprint, run_pool, set_failure_scope, set_sweep_lanes, sweep_point,
-    write_atomic, DirLock, EntryStatus, FailureEntry, FailureSink, FigureTable, Journal,
-    LeaseEntry, LockError, ManifestEntry, PoolOptions, ProtocolChoice, UnitOutcome, WorkUnit,
+    drain_failures, fingerprint, panic_message, run_ordered, set_failure_scope, set_sweep_lanes,
+    sweep_point, write_atomic, DirLock, EntryStatus, FailureEntry, FailureSink, FigureTable,
+    Journal, LockError, ManifestEntry, ProtocolChoice,
 };
+use alert_sim::{MetricsTimeseries, RegistrySnapshot};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     std::process::exit(real_main());
@@ -70,8 +72,6 @@ fn real_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut runs = 10usize;
     let mut jobs = 1usize;
-    let mut lease_s = 600.0f64;
-    let mut max_attempts = 3u32;
     let mut csv_dir: Option<PathBuf> = None;
     let mut resume = false;
     let mut targets: Vec<String> = Vec::new();
@@ -90,22 +90,6 @@ fn real_main() -> i32 {
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| die_usage("--jobs needs a positive integer"));
-            }
-            // Hidden pool tuning knobs (the integration tests shrink the
-            // lease to exercise expiry; defaults are production values).
-            "--lease-s" => {
-                lease_s = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &f64| s.is_finite() && s > 0.0)
-                    .unwrap_or_else(|| die_usage("--lease-s needs a positive number"));
-            }
-            "--max-attempts" => {
-                max_attempts = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die_usage("--max-attempts needs a positive integer"));
             }
             "--csv" => {
                 csv_dir = Some(PathBuf::from(
@@ -144,8 +128,8 @@ fn real_main() -> i32 {
     }
 
     // Single-orchestrator ownership of the output directory: the
-    // journal's torn-tail healing and the staged merge both assume one
-    // committer, so a concurrent orchestrator is a usage error.
+    // journal's torn-tail healing and the in-order commit both assume
+    // one committer, so a concurrent orchestrator is a usage error.
     let mut _lock: Option<DirLock> = None;
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -164,7 +148,7 @@ fn real_main() -> i32 {
         }
     }
 
-    let journal = match &csv_dir {
+    let mut journal = match &csv_dir {
         Some(dir) => match Journal::open(dir) {
             Ok(j) => Some(j),
             Err(e) => return fail(&format!("cannot open manifest journal: {e}")),
@@ -181,44 +165,17 @@ fn real_main() -> i32 {
     }
     let mut failure_sink = csv_dir.as_deref().map(FailureSink::new);
 
-    // The campaign as pool work units, in canonical (command-line)
-    // order; resume skips are decided up front on the main thread so
-    // the `[resume]` lines keep their serial order.
-    let mut units: Vec<WorkUnit<usize>> = Vec::new();
+    // The campaign as executor units, in canonical (command-line)
+    // order; resume skips are decided up front so the `[resume]` lines
+    // keep their serial order.
+    let mut units: Vec<(&str, u64)> = Vec::new();
     for t in &targets {
         let fp = fingerprint(t, runs);
-        if resume {
-            if let Some(j) = &journal {
-                if j.completed(t, fp) {
-                    eprintln!("[resume] {t}: already journaled as done, skipping");
-                    continue;
-                }
-            }
+        if resume && journal.as_ref().is_some_and(|j| j.completed(t, fp)) {
+            eprintln!("[resume] {t}: already journaled as done, skipping");
+            continue;
         }
-        units.push(WorkUnit {
-            label: t.clone(),
-            fingerprint: fp,
-            input: units.len(),
-        });
-    }
-
-    let stage_dir = csv_dir.as_ref().map(|d| d.join(".stage"));
-    if let Some(sd) = &stage_dir {
-        if let Err(e) = std::fs::create_dir_all(sd) {
-            return fail(&format!("cannot create {}: {e}", sd.display()));
-        }
-        // A kill -9 mid-campaign leaves staged CSVs behind (the end-of-
-        // run cleanup never happened). Entries whose fingerprint is
-        // already journaled terminal will never be renamed into place —
-        // sweep them so staging debris doesn't accumulate across
-        // crashes. In-flight fingerprints are left alone: this run
-        // re-stages (and atomically overwrites) them anyway.
-        if let Some(j) = &journal {
-            let swept = sweep_stale_stage(sd, j);
-            if swept > 0 {
-                eprintln!("[resume] swept {swept} stale staged artifact(s) from a previous run");
-            }
-        }
+        units.push((t, fp));
     }
 
     // Each worker's sweeps run on its share of the cores, and their
@@ -230,26 +187,23 @@ fn real_main() -> i32 {
     println!("# ALERT reproduction — {runs} runs per data point\n");
     drain_failures(); // start the campaign with a clean ledger partition
 
-    let journal = Mutex::new(journal);
+    let started = Instant::now();
+    let mut series = csv_dir
+        .as_ref()
+        .map(|_| MetricsTimeseries::new(POOL_SAMPLE_S));
+    let mut next_sample = POOL_SAMPLE_S;
+    let (mut completed, mut failed) = (0u64, 0u64);
     let mut quarantined = 0usize;
     let mut fatal: Option<String> = None;
 
-    let opts = PoolOptions {
-        jobs,
-        lease: Duration::from_secs_f64(lease_s),
-        max_attempts,
-        sample_every: csv_dir.as_ref().map(|_| Duration::from_secs(5)),
-        ..PoolOptions::default()
-    };
-
-    let exec = |w: usize, unit: &WorkUnit<usize>| -> Result<ExpOutput, String> {
-        let target = &unit.label;
+    let exec = |w: usize, i: usize| -> ExpOutput {
+        let target = units[i].0;
         set_failure_scope(w + 1);
         set_sweep_lanes(lanes_per);
-        drop(drain_failures()); // leftovers of a previous failed attempt
+        drop(drain_failures()); // leftovers of a unit that panicked here
         let start = Instant::now();
         // A panic in any sweep lane propagates out of `render` and is
-        // caught by the pool harness, consuming one attempt.
+        // committed as this experiment's failure.
         let rendered = render(target, runs);
         let mut failures: Vec<FailureEntry> = drain_failures()
             .into_iter()
@@ -260,68 +214,29 @@ fn real_main() -> i32 {
         failures.sort_by(|a, b| {
             (&a.protocol, a.nodes, a.seed, &a.error).cmp(&(&b.protocol, b.nodes, b.seed, &b.error))
         });
-        let (text, staged) = match rendered {
+        let (text, csv) = match rendered {
             Rendered::Text(text) => (text, None),
-            Rendered::Table(table) => {
-                let staged = match &stage_dir {
-                    Some(sd) => {
-                        // Keyed by unit index + fingerprint (+ worker, so
-                        // a reclaimed lease's straggler can't collide):
-                        // duplicate targets on the command line stay
-                        // distinct.
-                        let path = sd.join(format!(
-                            "{:03}-w{w}-{:016x}.csv",
-                            unit.input, unit.fingerprint
-                        ));
-                        write_atomic(&path, &table.to_csv())
-                            .map_err(|e| format!("cannot stage {}: {e}", path.display()))?;
-                        Some(path)
-                    }
-                    None => None,
-                };
-                (table.render(), staged)
-            }
+            Rendered::Table(table) => (table.render(), csv_dir.as_ref().map(|_| table.to_csv())),
         };
-        Ok(ExpOutput {
+        ExpOutput {
             text,
-            staged,
+            csv,
             failures,
             wall_s: start.elapsed().as_secs_f64(),
-        })
-    };
-
-    let on_lease = |unit: &WorkUnit<usize>, worker: usize, attempt: u32, deadline_s: f64| {
-        if let Some(j) = journal.lock().expect("journal lock").as_mut() {
-            let lease = LeaseEntry {
-                target: unit.label.clone(),
-                fingerprint: unit.fingerprint,
-                worker,
-                attempt,
-                deadline_s,
-            };
-            if let Err(e) = j.record_lease(lease) {
-                eprintln!(
-                    "[pool] warning: cannot journal lease for {}: {e}",
-                    unit.label
-                );
-            }
         }
     };
 
-    let commit = |unit: &WorkUnit<usize>, outcome: UnitOutcome<ExpOutput>| {
+    let commit = |i: usize, outcome: Result<ExpOutput, alert_bench::Panic>| {
         if fatal.is_some() {
             return; // first fatal error wins; drop the rest quietly
         }
-        let t = &unit.label;
+        let (t, fp) = units[i];
         let (status, wall_s, failures) = match outcome {
-            UnitOutcome::Completed(out) => {
+            Ok(out) => {
                 print!("{}", out.text);
-                if let Some(stage) = &out.staged {
-                    let path = csv_dir
-                        .as_ref()
-                        .expect("staged artifact implies --csv")
-                        .join(format!("{t}.csv"));
-                    if let Err(e) = std::fs::rename(stage, &path) {
+                if let (Some(dir), Some(csv)) = (&csv_dir, &out.csv) {
+                    let path = dir.join(format!("{t}.csv"));
+                    if let Err(e) = write_atomic(&path, csv) {
                         fatal = Some(format!("cannot write {}: {e}", path.display()));
                         return;
                     }
@@ -332,20 +247,23 @@ fn real_main() -> i32 {
                 } else {
                     EntryStatus::Failed
                 };
+                completed += 1;
                 (status, out.wall_s, out.failures)
             }
-            UnitOutcome::Failed { error, attempts } => {
-                // The experiment itself died on every attempt (not just
-                // one run of a sweep). Quarantine it and keep going.
-                eprintln!("[{t}] FAILED after {attempts} attempt(s): {error}");
+            Err(payload) => {
+                // The experiment itself died (not just one run of a
+                // sweep). Quarantine it and keep going.
+                let error = format!("panicked: {}", panic_message(payload));
+                eprintln!("[{t}] FAILED: {error}");
                 let failure = FailureEntry {
-                    target: t.clone(),
+                    target: t.to_owned(),
                     protocol: "-".to_owned(),
                     nodes: 0,
                     seed: 0,
                     error,
                     replay: format!("repro {t} --runs {runs}"),
                 };
+                failed += 1;
                 (EntryStatus::Failed, 0.0, vec![failure])
             }
         };
@@ -358,10 +276,10 @@ fn real_main() -> i32 {
                 }
             }
         }
-        if let Some(j) = journal.lock().expect("journal lock").as_mut() {
+        if let Some(j) = &mut journal {
             let entry = ManifestEntry {
-                target: t.clone(),
-                fingerprint: unit.fingerprint,
+                target: t.to_owned(),
+                fingerprint: fp,
                 runs,
                 status,
                 wall_s,
@@ -370,33 +288,32 @@ fn real_main() -> i32 {
                 fatal = Some(format!("cannot append to manifest journal: {e}"));
             }
         }
-    };
-
-    let stats = run_pool(&units, &opts, exec, on_lease, commit);
-
-    if let Some(dir) = &csv_dir {
-        if let Some(series) = &stats.timeseries {
-            let path = dir.join(POOL_TIMESERIES_FILE);
-            if let Err(e) = write_atomic(&path, &series.to_jsonl()) {
-                return fail(&format!("cannot write {}: {e}", path.display()));
+        if let Some(series) = &mut series {
+            let now = started.elapsed().as_secs_f64();
+            if now >= next_sample {
+                series.record(now, &pool_snapshot(completed, failed));
+                next_sample = now + POOL_SAMPLE_S;
             }
         }
-        // Staged artifacts are renamed away on commit; anything left is
-        // debris from failed attempts.
-        if let Some(sd) = &stage_dir {
-            let _ = std::fs::remove_dir_all(sd);
+    };
+
+    run_ordered(units.len(), jobs, None, exec, commit);
+
+    if let (Some(dir), Some(series)) = (&csv_dir, &mut series) {
+        // Always end with a final sample so even sub-cadence runs leave
+        // a usable (header + at least one sample) series behind.
+        let now = started.elapsed().as_secs_f64();
+        let now = match series.samples.last() {
+            Some(last) if now <= last.t => last.t + 1e-3,
+            _ => now,
+        };
+        series.record(now, &pool_snapshot(completed, failed));
+        let path = dir.join(POOL_TIMESERIES_FILE);
+        if let Err(e) = write_atomic(&path, &series.to_jsonl()) {
+            return fail(&format!("cannot write {}: {e}", path.display()));
         }
     }
-    eprintln!(
-        "[pool] jobs={jobs} committed={} failed={} leases={} lease_expired={} \
-         retries={} duplicates={}",
-        stats.completed,
-        stats.failed,
-        stats.leases,
-        stats.lease_expired,
-        stats.retries,
-        stats.duplicates
-    );
+    eprintln!("[pool] jobs={jobs} committed={completed} failed={failed}");
 
     if let Some(msg) = fatal {
         return fail(&msg);
@@ -414,44 +331,31 @@ fn real_main() -> i32 {
     0
 }
 
-/// File name of the pool health timeseries inside the `--csv` dir.
+/// File name of the commit-count timeseries inside the `--csv` dir.
 const POOL_TIMESERIES_FILE: &str = "pool-timeseries.jsonl";
 
-/// Removes staged `NNN-wW-FFFFFFFFFFFFFFFF.csv` files whose fingerprint
-/// already has a terminal journal entry — debris a crashed campaign can
-/// never promote. Returns how many entries were removed; unreadable or
-/// foreign file names are left untouched.
-fn sweep_stale_stage(stage_dir: &std::path::Path, journal: &Journal) -> usize {
-    let Ok(entries) = std::fs::read_dir(stage_dir) else {
-        return 0;
-    };
-    let mut swept = 0;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(hex) = name
-            .strip_suffix(".csv")
-            .and_then(|stem| stem.rsplit('-').next())
-        else {
-            continue;
-        };
-        let Ok(fp) = u64::from_str_radix(hex, 16) else {
-            continue;
-        };
-        let terminal = journal.entries().iter().any(|e| e.fingerprint == fp);
-        if terminal && std::fs::remove_file(entry.path()).is_ok() {
-            swept += 1;
-        }
+/// Wall-clock cadence of the commit-count timeseries, in seconds.
+const POOL_SAMPLE_S: f64 = 5.0;
+
+/// The committer's counts as a registry snapshot, so the timeseries
+/// and `tracequery rates` tooling apply as-is.
+fn pool_snapshot(completed: u64, failed: u64) -> RegistrySnapshot {
+    let counters = BTreeMap::from([
+        ("pool.committed".to_owned(), completed),
+        ("pool.failed".to_owned(), failed),
+    ]);
+    RegistrySnapshot {
+        counters,
+        histograms: BTreeMap::new(),
     }
-    swept
 }
 
 /// What one executed experiment hands the committer: the stdout block,
-/// the staged CSV (if any), the quarantined failures of its sweeps, and
-/// its wall time.
+/// the CSV text (with `--csv`, for tables), the quarantined failures of
+/// its sweeps, and its wall time.
 struct ExpOutput {
     text: String,
-    staged: Option<PathBuf>,
+    csv: Option<String>,
     failures: Vec<FailureEntry>,
     wall_s: f64,
 }

@@ -18,7 +18,6 @@ pub mod figures;
 pub mod orchestrate;
 #[doc(hidden)]
 pub mod planted;
-pub mod pool;
 pub mod runner;
 pub mod table;
 
@@ -27,14 +26,11 @@ pub use orchestrate::{
     FailureEntry, FailureSink, Journal, LeaseEntry, LockError, ManifestEntry, FAILURES_FILE,
     LOCK_FILE, MANIFEST_FILE,
 };
-pub use pool::{
-    run_pool, Claim, Completion, FailDisposition, LeaseQueue, PoolOptions, PoolStats, UnitOutcome,
-    WorkUnit,
-};
 pub use runner::{
     drain_failures, drain_failures_scoped, failure_scope, failures_total, guarded_run_once,
-    mean_curve, par_runs, progress_enabled, run_instrumented, set_failure_scope, set_progress,
-    set_sweep_lanes, sweep_metrics, sweep_point, try_run_once, FailureRecord, PostmortemDump,
-    ProtocolChoice, RunFailure, RunOptions, RunOutcome, RunOutput, Stat, POSTMORTEM_RING_CAPACITY,
+    mean_curve, panic_message, par_runs, progress_enabled, run_instrumented, run_ordered,
+    set_failure_scope, set_progress, set_sweep_lanes, sweep_metrics, sweep_point, try_run_once,
+    FailureRecord, Panic, PostmortemDump, ProtocolChoice, RunFailure, RunOptions, RunOutcome,
+    RunOutput, Stat, POSTMORTEM_RING_CAPACITY,
 };
 pub use table::FigureTable;

@@ -37,17 +37,18 @@
 //! {"rec":"lease","target":"fig9b","fingerprint":99,"worker":1,"attempt":1,"deadline_s":612.5}
 //! ```
 //!
-//! Version 2 adds [`LeaseEntry`] lines for the parallel executor (see
-//! [`crate::pool`]): a worker journals a lease when it claims a unit,
-//! and the committer journals the terminal `done`/`failed` line after
-//! the artifacts are renamed into place. A lease with no later terminal
-//! line is an *orphan* — the worker died mid-unit — and `--resume`
-//! simply re-runs that point. v1 journals remain readable (they just
-//! contain no lease lines); v1 *parsers* skip the new lease lines
-//! because they reject objects with unknown keys. The schema string is
-//! part of every fingerprint, so the 1→2 bump deliberately invalidates
-//! v1 completion entries: resumed campaigns re-run them instead of
-//! trusting records written under the old discipline.
+//! Version 2 added [`LeaseEntry`] lines: the leased executor of earlier
+//! builds journaled one when a worker claimed a unit. `repro` now
+//! writes only terminal lines: the committer writes each CSV with
+//! [`write_atomic`] and then journals its `done`/`failed` line. Lease
+//! lines in older journals are still read: one with no later terminal
+//! line is an *orphan* (its worker died mid-unit), and `--resume`
+//! re-runs that point. v1 journals remain readable (they contain no
+//! lease lines); v1 *parsers* skip lease lines because they reject
+//! objects with unknown keys. The schema string is part of every
+//! fingerprint, so the 1→2 bump deliberately invalidates v1 completion
+//! entries: resumed campaigns re-run them instead of trusting records
+//! written under the old discipline.
 //!
 //! Failed experiments are quarantined rather than resumed-over: they
 //! are journaled with `"status":"failed"` (never matched by
@@ -325,14 +326,14 @@ impl ManifestEntry {
 // Lease entries (schema v2)
 // ---------------------------------------------------------------------
 
-/// One lease line in the manifest journal: worker `worker` claimed the
-/// unit `fingerprint` (attempt `attempt`) and promised to finish it by
-/// `deadline_s` on the claiming orchestrator's monotonic clock.
+/// One lease line in a schema-v2 manifest journal: worker `worker`
+/// claimed the unit `fingerprint` (attempt `attempt`) and promised to
+/// finish it by `deadline_s` on the claiming orchestrator's monotonic
+/// clock.
 ///
-/// Lease lines are provenance, not authority: in-process the live
-/// [`LeaseQueue`](crate::pool::LeaseQueue) arbitrates claims, and on
-/// `--resume` a lease with no later terminal entry simply marks a unit
-/// the dead run never finished — it is reclaimed by re-running.
+/// `repro` no longer writes lease lines; they are still read so older
+/// journals stay valid. On `--resume` a lease with no later terminal
+/// entry marks a unit the dead run never finished, and it is re-run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseEntry {
     /// Experiment target / case label the lease covers.
@@ -343,7 +344,7 @@ pub struct LeaseEntry {
     pub worker: usize,
     /// 1-based attempt number this lease runs.
     pub attempt: u32,
-    /// Lease deadline, seconds on the claiming pool's monotonic clock.
+    /// Lease deadline, seconds on the claiming executor's monotonic clock.
     pub deadline_s: f64,
 }
 
@@ -438,7 +439,7 @@ impl Journal {
         &self.entries
     }
 
-    /// Lease lines read at open plus those recorded since.
+    /// Lease lines read at open.
     pub fn leases(&self) -> &[LeaseEntry] {
         &self.leases
     }
@@ -472,14 +473,6 @@ impl Journal {
     pub fn record(&mut self, entry: ManifestEntry) -> io::Result<()> {
         self.log.append(entry.to_jsonl())?;
         self.entries.push(entry);
-        Ok(())
-    }
-
-    /// Appends one lease line and flushes it to disk before returning,
-    /// then mirrors it into the in-memory view.
-    pub fn record_lease(&mut self, lease: LeaseEntry) -> io::Result<()> {
-        self.log.append(lease.to_jsonl())?;
-        self.leases.push(lease);
         Ok(())
     }
 }
@@ -517,9 +510,9 @@ impl std::fmt::Display for LockError {
 }
 
 /// Advisory lock asserting single-committer ownership of an output
-/// directory: journal torn-tail healing and the staged-merge discipline
-/// both assume exactly one orchestrator writes `manifest.jsonl` at a
-/// time. The lock is a `.orchestrator.lock` file created with
+/// directory: journal torn-tail healing and the in-order commit both
+/// assume exactly one orchestrator writes `manifest.jsonl` at a time.
+/// The lock is a `.orchestrator.lock` file created with
 /// `O_EXCL` and holding the owner's PID; a stale lock (owner no longer
 /// alive) is stolen, a live one is a hard [`LockError::Busy`] the
 /// binaries turn into an exit-2 usage diagnostic. Dropped on scope
@@ -1034,10 +1027,10 @@ mod tests {
         let mut j = Journal::open(&dir).unwrap();
         // fig9a: leased then finished. fig9b: leased twice (retry),
         // never finished — one orphan, deduped by fingerprint.
-        j.record_lease(lease("fig9a", 0, 1)).unwrap();
+        j.log.append(lease("fig9a", 0, 1).to_jsonl()).unwrap();
         j.record(entry("fig9a", EntryStatus::Done)).unwrap();
-        j.record_lease(lease("fig9b", 1, 1)).unwrap();
-        j.record_lease(lease("fig9b", 0, 2)).unwrap();
+        j.log.append(lease("fig9b", 1, 1).to_jsonl()).unwrap();
+        j.log.append(lease("fig9b", 0, 2).to_jsonl()).unwrap();
 
         let j2 = Journal::open(&dir).unwrap();
         assert_eq!(j2.entries().len(), 1);

@@ -1,5 +1,6 @@
 //! Monte-Carlo sweep infrastructure: run `(protocol, scenario)` across
-//! seeds in parallel ([`par_runs`], scoped threads) and reduce per-run
+//! seeds in parallel ([`par_runs`] over the in-order executor
+//! [`run_ordered`]) and reduce per-run
 //! metrics into mean ± 95% CI — the paper's "average of results of 30
 //! runs" with confidence intervals (Section 5.2).
 
@@ -12,7 +13,8 @@ use alert_sim::{
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
+use std::time::Instant;
 
 /// Global toggle for `repro --progress`-style per-data-point lines on
 /// stderr. Off by default so sweep output stays machine-parsable.
@@ -82,7 +84,7 @@ impl From<RunAbort> for RunFailure {
 }
 
 /// Renders a `catch_unwind` payload into a printable message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Panic) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -109,8 +111,8 @@ pub struct FailureRecord {
 }
 
 /// Process-wide ledger of quarantined sweep runs, partitioned by
-/// *failure scope* so concurrent pool workers (see [`crate::pool`])
-/// never steal each other's records. Scope 0 is the serial default;
+/// *failure scope* so concurrent [`run_ordered`] workers never steal
+/// each other's records. Scope 0 is the serial default;
 /// workers claim a scope with [`set_failure_scope`] (inherited by the
 /// lanes [`par_runs`] spawns) and drain only their own partition at
 /// commit time.
@@ -121,7 +123,7 @@ static FAILURES: Mutex<std::collections::BTreeMap<usize, Vec<FailureRecord>>> =
 /// [`drain_failures`]).
 static FAILURES_TOTAL: AtomicU64 = AtomicU64::new(0);
 
-/// What a pool worker's threads carry: the ledger partition
+/// What an executor worker's threads carry: the ledger partition
 /// [`quarantine`] writes to and the lane budget of [`par_runs`].
 #[derive(Clone, Copy)]
 struct WorkerScope {
@@ -153,67 +155,113 @@ pub fn failure_scope() -> usize {
     SCOPE.with(|s| s.get().failure)
 }
 
-/// Sets how many lanes [`par_runs`] on this thread may use: a pool
-/// worker's share of the cores. 0 restores the default, the machine's
+/// Sets how many lanes [`par_runs`] on this thread may use: an
+/// executor worker's share of the cores. 0 restores the default, the machine's
 /// available parallelism.
 pub fn set_sweep_lanes(lanes: usize) {
     SCOPE.with(|s| s.set(WorkerScope { lanes, ..s.get() }));
 }
 
-/// Runs `f` over the run indices `0..runs` on scoped threads and
-/// returns the results in index order, so reductions over them do not
-/// depend on scheduling.
+/// Runs `f` over the run indices `0..runs` and returns the results in
+/// index order, so reductions over them do not depend on scheduling.
 ///
-/// Lanes pull indices from a shared counter, so uneven runs balance.
-/// The calling thread is one of the lanes; the others inherit its
-/// failure scope and lane budget ([`set_sweep_lanes`]). With a budget
-/// of one lane, or a single run, everything runs on the calling thread.
-/// A panic in any lane propagates out of the call with its payload.
+/// A collecting call of [`run_ordered`]: the lanes inherit the
+/// caller's failure scope and lane budget ([`set_sweep_lanes`]); with a
+/// budget of one lane, or a single run, everything runs on the calling
+/// thread. A panic in any run propagates out of the call with its
+/// payload.
 pub fn par_runs<T, F>(runs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    let scope = SCOPE.with(Cell::get);
-    let budget = match scope.lanes {
+    let lanes = match SCOPE.with(Cell::get).lanes {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     };
-    let lanes = budget.min(runs);
-    if lanes <= 1 {
-        return (0..runs as u64).map(f).collect();
+    let mut out = Vec::with_capacity(runs);
+    run_ordered(
+        runs,
+        lanes,
+        None,
+        |_, i| f(i as u64),
+        |_, outcome| match outcome {
+            Ok(v) => out.push(v),
+            Err(payload) => resume_unwind(payload),
+        },
+    );
+    out
+}
+
+/// The payload of a panic caught by [`run_ordered`].
+pub type Panic = Box<dyn std::any::Any + Send>;
+
+/// Runs `exec(worker, i)` once for every index `i` in `0..n` on up to
+/// `jobs` worker threads, and hands each outcome to `commit(i, ..)` on
+/// the calling thread in index order, as soon as that index and every
+/// one before it are done. Returns how many indices were committed.
+///
+/// Workers pull indices from one shared counter and inherit the
+/// caller's failure scope and lane budget. Each worker checks
+/// `deadline` before it claims an index, so once it passes no new unit
+/// starts and the committed indices are the prefix `0..k`. Each unit
+/// runs once under `catch_unwind`: a panic is committed as `Err` with
+/// its payload. Units are meant to be pure functions of their index,
+/// so a failure is final; nothing is retried. With one job or one
+/// unit, everything runs inline on the calling thread as worker 0.
+pub fn run_ordered<O, E, C>(
+    n: usize,
+    jobs: usize,
+    deadline: Option<Instant>,
+    exec: E,
+    mut commit: C,
+) -> usize
+where
+    O: Send,
+    E: Fn(usize, usize) -> O + Sync,
+    C: FnMut(usize, Result<O, Panic>),
+{
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+    let run = |worker, i| catch_unwind(AssertUnwindSafe(|| exec(worker, i)));
+    let jobs = jobs.clamp(1, n.max(1));
+    if jobs == 1 {
+        let mut k = 0;
+        while k < n && !expired() {
+            commit(k, run(0, k));
+            k += 1;
+        }
+        return k;
     }
+    let scope = SCOPE.with(Cell::get);
     let next = AtomicUsize::new(0);
-    let lane = || {
-        let mut out = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= runs {
-                return out;
-            }
-            out.push((i, f(i as u64)));
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        for worker in 0..jobs {
+            let tx = tx.clone();
+            let (next, run, expired) = (&next, &run, &expired);
+            s.spawn(move || {
+                SCOPE.with(|c| c.set(scope));
+                while !expired() {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    // A closed channel means the committer unwound.
+                    if i >= n || tx.send((i, run(worker, i))).is_err() {
+                        return;
+                    }
+                }
+            });
         }
-    };
-    let mut done = std::thread::scope(|s| {
-        let spawned: Vec<_> = (1..lanes)
-            .map(|_| {
-                s.spawn(move || {
-                    SCOPE.with(|c| c.set(scope));
-                    lane()
-                })
-            })
-            .collect();
-        let mut done = lane();
-        for handle in spawned {
-            match handle.join() {
-                Ok(part) => done.extend(part),
-                Err(payload) => resume_unwind(payload),
+        drop(tx);
+        let mut ready = std::collections::BTreeMap::new();
+        let mut k = 0;
+        for (i, outcome) in rx {
+            ready.insert(i, outcome);
+            while let Some(outcome) = ready.remove(&k) {
+                commit(k, outcome);
+                k += 1;
             }
         }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, v)| v).collect()
+        k
+    })
 }
 
 /// Removes and returns every failure quarantined in the calling
@@ -223,8 +271,8 @@ pub fn drain_failures() -> Vec<FailureRecord> {
 }
 
 /// Removes and returns every failure quarantined in the given scope
-/// since the last drain. Pool committers use this to collect a
-/// worker's records regardless of which thread commits.
+/// since the last drain. Committers use this to collect a worker's
+/// records regardless of which thread commits.
 pub fn drain_failures_scoped(scope: usize) -> Vec<FailureRecord> {
     FAILURES
         .lock()
@@ -1082,6 +1130,118 @@ mod tests {
         set_sweep_lanes(0);
         let payload = caught.expect_err("the lane panic must propagate");
         assert_eq!(panic_message(payload), "planted lane panic");
+    }
+
+    #[test]
+    fn commits_in_canonical_order_across_workers() {
+        let mut seen = Vec::new();
+        let committed = run_ordered(
+            24,
+            4,
+            None,
+            |_, i| {
+                // Reverse-staggered sleeps so completion order is wildly
+                // different from canonical order.
+                std::thread::sleep(std::time::Duration::from_millis(((24 - i) % 7) as u64));
+                i * 10
+            },
+            |i, outcome| {
+                assert_eq!(outcome.ok(), Some(i * 10));
+                seen.push(i);
+            },
+        );
+        assert_eq!(committed, 24);
+        assert_eq!(seen, (0..24).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn panicking_unit_is_committed_failed_with_its_message() {
+        let mut outcomes = Vec::new();
+        run_ordered(
+            2,
+            2,
+            None,
+            |_, i| {
+                if i == 0 {
+                    panic!("planted executor panic");
+                }
+                i
+            },
+            |i, outcome| outcomes.push((i, outcome.map_err(panic_message))),
+        );
+        assert_eq!(
+            outcomes,
+            vec![(0, Err("planted executor panic".to_owned())), (1, Ok(1))]
+        );
+    }
+
+    #[test]
+    fn deadline_cancels_without_committing_garbage() {
+        let deadline = Instant::now() + std::time::Duration::from_millis(40);
+        let mut committed = Vec::new();
+        let k = run_ordered(
+            64,
+            2,
+            Some(deadline),
+            |_, i| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                i
+            },
+            |i, outcome| {
+                assert_eq!(outcome.ok(), Some(i));
+                committed.push(i);
+            },
+        );
+        assert!(k < 64, "the deadline stopped the run");
+        // The committed set is a contiguous canonical prefix.
+        assert_eq!(committed, (0..k).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_unit_list_is_a_no_op() {
+        for jobs in [1, 4] {
+            let k = run_ordered(0, jobs, None, |_, _| (), |_, _| panic!("nothing to commit"));
+            assert_eq!(k, 0);
+        }
+    }
+
+    #[test]
+    fn each_unit_runs_exactly_once_even_when_it_fails() {
+        use std::sync::atomic::AtomicU32;
+        for jobs in [1, 3] {
+            let calls: Vec<AtomicU32> = (0..12).map(|_| AtomicU32::new(0)).collect();
+            let mut kinds = Vec::new();
+            run_ordered(
+                12,
+                jobs,
+                None,
+                |_, i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    match i % 3 {
+                        0 => Ok(i),
+                        1 => Err(format!("planted failure {i}")),
+                        _ => panic!("planted panic {i}"),
+                    }
+                },
+                |i, outcome| {
+                    kinds.push(match outcome {
+                        Ok(Ok(_)) => 0,
+                        Ok(Err(e)) => {
+                            assert_eq!(e, format!("planted failure {i}"));
+                            1
+                        }
+                        Err(payload) => {
+                            assert_eq!(panic_message(payload), format!("planted panic {i}"));
+                            2
+                        }
+                    })
+                },
+            );
+            assert_eq!(kinds, (0..12).map(|i| i % 3).collect::<Vec<_>>());
+            for (i, c) in calls.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "unit {i} at {jobs} jobs");
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! The report on stdout is a pure function of
 //! `(--cases, --seed, --plant)`: same flags, byte-identical bytes —
-//! including under `--jobs N`, which fans cases across a leased worker
-//! pool while a single committer assembles the report in case order.
+//! including under `--jobs N`, which runs cases on N worker threads
+//! while a single committer assembles the report in case order.
 //! `--max-wall-s` opts into a wall-clock budget for bounded CI slots
 //! (an early stop is reported in the summary). The hidden
 //! `--plant leak` interleaves a deliberately NodeId-leaking protocol
@@ -176,8 +176,8 @@ fn usage() {
     eprintln!();
     eprintln!("Fuzzes N deterministic scenarios across every protocol, checks");
     eprintln!("the invariant oracles, shrinks failures, and prints a simrun");
-    eprintln!("replay command per finding. --jobs fans cases across a leased");
-    eprintln!("worker pool; the report bytes are identical at any jobs count.");
+    eprintln!("replay command per finding. --jobs runs cases on N worker");
+    eprintln!("threads; the report bytes are identical at any jobs count.");
     eprintln!("Exit 0 clean, 1 violation, 2 usage.");
 }
 

@@ -12,7 +12,7 @@ use crate::driver::run_case;
 use crate::fuzz::{flag_encodable, gen_case, Case, Plant};
 use crate::oracle::{check_all, Violation};
 use crate::shrink::{shrink, Shrunk};
-use alert_bench::{fingerprint_with, run_pool, PoolOptions, UnitOutcome, WorkUnit};
+use alert_bench::{panic_message, run_ordered};
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -33,9 +33,9 @@ pub struct SuiteOptions {
     pub max_wall: Option<Duration>,
     /// Where to write scenario JSON + replay artifacts for failures.
     pub artifact_dir: Option<PathBuf>,
-    /// Worker threads executing cases (min 1). Cases are fanned across
-    /// the leased pool and the report assembled in case order by a
-    /// single committer, so the bytes are identical at any jobs count.
+    /// Worker threads executing cases (min 1). Cases run on the
+    /// in-order executor and the report is assembled in case order by
+    /// a single committer, so the bytes are identical at any jobs count.
     pub jobs: usize,
 }
 
@@ -245,11 +245,11 @@ struct CaseWork {
 
 /// Runs the whole suite, streaming the deterministic report to `out`.
 ///
-/// Cases are fanned across [`SuiteOptions::jobs`] leased pool workers
-/// (each case keyed by an FNV-1a fingerprint of `(seed, index, plant)`
-/// and generated purely from those values, never from claim order); the
-/// calling thread commits results strictly in case order, so the report
-/// bytes are independent of the jobs count and of scheduling.
+/// Cases run on [`SuiteOptions::jobs`] workers of the in-order executor
+/// ([`alert_bench::run_ordered`]). Each case is generated purely from
+/// `(seed, index, plant)`, never from claim order, and the calling
+/// thread commits results strictly in case order, so the report bytes
+/// are independent of the jobs count and of scheduling.
 pub fn run_suite(opts: &SuiteOptions, out: &mut dyn Write) -> io::Result<SuiteSummary> {
     let start = Instant::now();
     writeln!(
@@ -269,31 +269,8 @@ pub fn run_suite(opts: &SuiteOptions, out: &mut dyn Write) -> io::Result<SuiteSu
         harness_errors: 0,
     };
 
-    let plant_tag: &[u8] = match opts.plant {
-        Plant::None => b"none",
-        Plant::Leak => b"leak",
-        Plant::Insider => b"insider",
-    };
-    let units: Vec<WorkUnit<usize>> = (0..opts.cases)
-        .map(|index| WorkUnit {
-            label: format!("case-{index:04}"),
-            fingerprint: fingerprint_with(&[
-                b"simcheck-case",
-                &opts.seed.to_le_bytes(),
-                &(index as u64).to_le_bytes(),
-                plant_tag,
-            ]),
-            input: index,
-        })
-        .collect();
-    let pool_opts = PoolOptions {
-        jobs: opts.jobs.max(1),
-        deadline: opts.max_wall.map(|budget| start + budget),
-        ..PoolOptions::default()
-    };
-
-    let exec = |_w: usize, unit: &WorkUnit<usize>| -> Result<CaseWork, String> {
-        let case = gen_case(opts.seed, unit.input, opts.plant);
+    let exec = |_w: usize, index: usize| -> CaseWork {
+        let case = gen_case(opts.seed, index, opts.plant);
         let result = run_one(&case);
         let shrunk = match &result {
             CaseResult::Violated { violations, .. } => {
@@ -301,34 +278,32 @@ pub fn run_suite(opts: &SuiteOptions, out: &mut dyn Write) -> io::Result<SuiteSu
             }
             _ => None,
         };
-        Ok(CaseWork {
+        CaseWork {
             case,
             result,
             shrunk,
-        })
+        }
     };
 
     // The committer writes report lines on the calling thread only;
-    // I/O errors are stashed and re-raised after the pool drains.
+    // I/O errors are stashed and re-raised after the executor returns.
     let mut io_err: Option<io::Error> = None;
-    let commit = |unit: &WorkUnit<usize>, outcome: UnitOutcome<CaseWork>| {
+    let commit = |index: usize, outcome: Result<CaseWork, alert_bench::Panic>| {
         if io_err.is_some() {
             return;
         }
-        let index = unit.input;
         let res = (|| -> io::Result<()> {
             let work = match outcome {
-                UnitOutcome::Completed(work) => work,
-                UnitOutcome::Failed { error, attempts } => {
-                    // The harness itself died on every attempt (e.g. a
-                    // panicking generator) — a simcheck bug, not a
-                    // simulator bug.
+                Ok(work) => work,
+                Err(payload) => {
+                    // The harness itself panicked (e.g. in the
+                    // generator): a simcheck bug, not a simulator bug.
                     summary.cases_run += 1;
                     summary.harness_errors += 1;
                     writeln!(
                         out,
-                        "case {index:04} HARNESS-ERROR worker failed after \
-                         {attempts} attempt(s): {error}"
+                        "case {index:04} HARNESS-ERROR worker panicked: {}",
+                        panic_message(payload)
                     )?;
                     return Ok(());
                 }
@@ -386,11 +361,12 @@ pub fn run_suite(opts: &SuiteOptions, out: &mut dyn Write) -> io::Result<SuiteSu
         }
     };
 
-    let stats = run_pool(&units, &pool_opts, exec, |_, _, _, _| {}, commit);
+    let deadline = opts.max_wall.map(|budget| start + budget);
+    let committed = run_ordered(opts.cases, opts.jobs, deadline, exec, commit);
     if let Some(e) = io_err {
         return Err(e);
     }
-    if stats.cancelled {
+    if committed < opts.cases {
         writeln!(
             out,
             "# wall budget exhausted after {} of {} cases",
