@@ -25,6 +25,10 @@
 //! healed with a newline on re-open, exactly like the repro manifest —
 //! at worst one acknowledgment is lost, and the client's retry dedupes
 //! by fingerprint.
+//!
+//! The daemon no longer writes `quarantined`: older builds journaled it
+//! for a job that crashed their dispatcher twice. It still replays, and
+//! such a job stays barred until a forced resubmit.
 
 use crate::protocol::parse_fields;
 use crate::spec::JobSpec;
@@ -79,7 +83,8 @@ pub enum JobRecord {
         /// Job fingerprint.
         fp: u64,
     },
-    /// The job killed the dispatcher twice and is barred from running.
+    /// The job killed an older build's dispatcher twice and is barred
+    /// from running. Replayed only; the daemon no longer writes it.
     Quarantined {
         /// Job fingerprint.
         fp: u64,
@@ -219,7 +224,7 @@ pub enum JobState {
     },
     /// Cancelled before it ran.
     Cancelled,
-    /// Barred from running after repeatedly killing the dispatcher.
+    /// Barred from running by a replayed `quarantined` record.
     Quarantined {
         /// Why it was quarantined.
         error: String,

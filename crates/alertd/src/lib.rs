@@ -2,9 +2,9 @@
 //!
 //! The sim-as-a-service control plane: a long-lived, **crash-only**
 //! daemon that accepts simulation jobs over a newline-delimited JSON
-//! protocol (TCP or Unix socket), executes them on the in-order
-//! executor of `alert-bench`, and publishes result
-//! artifacts by atomic rename into a versioned `results/` directory.
+//! protocol (TCP or Unix socket), runs them on a fixed set of worker
+//! threads, and publishes result artifacts by atomic rename into a
+//! versioned `results/` directory.
 //!
 //! Crash-only means the recovery path *is* the startup path (see
 //! DESIGN.md § 14 and `docs/OPERATIONS.md`):
@@ -20,8 +20,9 @@
 //!   dedupe);
 //! * admission control bounds the queue with typed `busy` / `shutdown`
 //!   rejections instead of unbounded memory growth ([`server`]);
-//! * a supervisor restarts a panicked dispatcher with capped backoff
-//!   and quarantines any job that kills it twice ([`supervisor`]).
+//! * a job's panic fails that job; a panic anywhere else in a worker is
+//!   a daemon bug and aborts the process, which then recovers like any
+//!   other crash.
 //!
 //! The wire protocol ([`protocol`]) and the job journal use the trace
 //! crate's flat-object JSONL codec, so the daemon adds no JSON library
@@ -37,11 +38,9 @@ pub mod protocol;
 pub mod server;
 pub mod spec;
 pub mod store;
-pub mod supervisor;
 
 pub use journal::{JobJournal, JobRecord, JobState, ReplayedJob};
 pub use protocol::{ErrorKind, QueryRequest, Request, Response};
 pub use server::{serve, BindAddr, ServeError, ServerConfig, ServerStats, MAX_LINE_BYTES};
 pub use spec::{parse_fp_hex, run_job, Artifacts, JobSpec};
 pub use store::ResultStore;
-pub use supervisor::{backoff_delay, supervise, SupervisorOptions};

@@ -1,5 +1,5 @@
-//! The daemon itself: recovery-as-startup, admission control, the
-//! supervised dispatcher, and thread-per-connection protocol serving.
+//! The daemon itself: recovery-as-startup, admission control, a fixed
+//! set of job workers, and thread-per-connection protocol serving.
 //!
 //! [`serve`] owns the whole lifecycle:
 //!
@@ -11,13 +11,14 @@
 //! 2. **Listen.** Bind TCP (default, ephemeral port) or a Unix socket,
 //!    and advertise the endpoint in `<dir>/alertd.endpoint` so
 //!    `alertctl` needs only `--dir`.
-//! 3. **Execute.** A supervised dispatcher drains admitted jobs in
-//!    batches through the in-order executor
-//!    ([`alert_bench::run_ordered`]). Each job is journaled as leased,
-//!    runs once with its panics caught, and its outcome is committed in
-//!    batch order by atomic store promotion plus a journal record, in
-//!    that order. A failing job is not retried: it is a pure function
-//!    of its spec, so it would fail the same way again.
+//! 3. **Execute.** `jobs` worker threads each pop one admitted job at a
+//!    time, journal its lease, run it once with its panics caught, and
+//!    commit the outcome by atomic store promotion plus a journal
+//!    record, in that order. Jobs finish in whatever order they run; a
+//!    short job never waits for a long one. A failing job is not
+//!    retried: it is a pure function of its spec, so it would fail the
+//!    same way again. A panic outside a job is a daemon bug and aborts
+//!    the process, which restarts through step 1.
 //! 4. **Drain.** `alertctl drain` stops admission, waits for every job
 //!    to reach a terminal state, flushes the health timeseries, removes
 //!    the endpoint, and [`serve`] returns cleanly.
@@ -29,8 +30,7 @@ use crate::journal::{JobJournal, JobRecord, JobState, ReplayedJob};
 use crate::protocol::{ErrorKind, QueryRequest, Request, Response};
 use crate::spec::{run_job, JobSpec};
 use crate::store::ResultStore;
-use crate::supervisor::{supervise, SupervisorOptions};
-use alert_bench::{panic_message, run_ordered, write_atomic, DirLock, LockError};
+use alert_bench::{panic_message, write_atomic, DirLock, LockError};
 use alert_sim::{
     filter_events, follow_packet, parse_trace, render_events_csv, render_events_jsonl,
     render_windows_csv, render_windows_json, window_aggregates, EventFilter, MetricsTimeseries,
@@ -40,6 +40,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,7 +63,7 @@ pub struct ServerConfig {
     pub dir: PathBuf,
     /// Listen address.
     pub bind: BindAddr,
-    /// Worker threads running a batch of jobs.
+    /// Worker threads, each running one job at a time.
     pub jobs: usize,
     /// Admission bound: maximum non-terminal jobs before `busy`.
     pub queue_cap: usize,
@@ -123,13 +124,11 @@ pub struct ServerStats {
     pub completed: usize,
     /// Jobs that reached `failed`.
     pub failed: usize,
-    /// Dispatcher restarts forced by panics.
-    pub worker_restarts: u32,
     /// Protocol requests served.
     pub requests: u64,
 }
 
-/// Jobs committed across batches, by outcome.
+/// Jobs committed by the workers, by outcome.
 #[derive(Debug, Clone, Copy, Default)]
 struct PoolCounters {
     completed: u64,
@@ -144,12 +143,9 @@ struct JobEntry {
 struct Inner {
     jobs: BTreeMap<u64, JobEntry>,
     pending: VecDeque<u64>,
-    in_flight: Vec<u64>,
-    crash_counts: BTreeMap<u64, u32>,
     journal: JobJournal,
     draining: bool,
     shutdown: bool,
-    worker_restarts: u32,
     requests: u64,
     pool: PoolCounters,
     series: MetricsTimeseries,
@@ -204,12 +200,9 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
     let mut inner = Inner {
         jobs: BTreeMap::new(),
         pending: VecDeque::new(),
-        in_flight: Vec::new(),
-        crash_counts: BTreeMap::new(),
         journal,
         draining: false,
         shutdown: false,
-        worker_restarts: 0,
         requests: 0,
         pool: PoolCounters::default(),
         series: MetricsTimeseries::new(1.0),
@@ -250,23 +243,27 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
         connections: AtomicUsize::new(0),
     });
 
-    // --- Supervised dispatcher. --------------------------------------
-    let dispatcher = {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            let opts = SupervisorOptions::default();
-            let restarts = {
-                let body_shared = Arc::clone(&shared);
-                let panic_shared = Arc::clone(&shared);
-                supervise(
-                    &opts,
-                    move || dispatch_once(&body_shared),
-                    move |msg| on_dispatcher_panic(&panic_shared, msg),
-                )
-            };
-            shared.inner.lock().unwrap().worker_restarts = restarts;
-        })
-    };
+    // --- Workers. ----------------------------------------------------
+    let mut workers = Vec::new();
+    for worker in 0..config.jobs.max(1) {
+        let own = Arc::clone(&shared);
+        match thread::Builder::new()
+            .name(format!("alertd-worker-{worker}"))
+            .spawn(move || work_or_abort(&own, worker))
+        {
+            Ok(handle) => workers.push(handle),
+            Err(e) => {
+                // Stop the workers already running before giving up.
+                shared.inner.lock().expect(POISONED).shutdown = true;
+                shared.cond.notify_all();
+                for handle in workers {
+                    handle.join().expect(WORKERS_ABORT);
+                }
+                let _ = std::fs::remove_file(&endpoint_file);
+                return Err(e.into());
+            }
+        }
+    }
 
     // --- Accept loop. ------------------------------------------------
     // `accept` blocks until a client connects. A drain sets `shutdown`
@@ -293,7 +290,9 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
         let slot = ConnectionSlot::claim(&shared);
         thread::spawn(move || handle_connection(stream, &slot.0));
     }
-    dispatcher.join().ok();
+    for handle in workers {
+        handle.join().expect(WORKERS_ABORT);
+    }
 
     // --- Flush and retire. -------------------------------------------
     let inner = shared.inner.lock().unwrap();
@@ -307,7 +306,6 @@ pub fn serve(config: ServerConfig) -> Result<ServerStats, ServeError> {
     let stats = ServerStats {
         completed: inner.pool.completed as usize,
         failed: inner.pool.failed as usize,
-        worker_restarts: inner.worker_restarts,
         requests: inner.requests,
     };
     println!(
@@ -356,75 +354,76 @@ fn recover_job(
     }
 }
 
-/// One dispatcher iteration: wait for admitted work (or drain), run the
-/// whole batch on the executor, commit outcomes in batch order. Returns
-/// `true` when the daemon is drained and the dispatcher should exit.
-fn dispatch_once(shared: &Shared) -> bool {
-    let batch: Vec<(u64, JobSpec)> = {
-        let mut inner = shared.inner.lock().unwrap();
-        loop {
-            if !inner.pending.is_empty() {
-                break;
-            }
-            if inner.draining {
-                return true; // nothing pending, nothing will be: drained
-            }
-            inner = shared.cond.wait(inner).unwrap();
-        }
-        let fps: Vec<u64> = inner.pending.drain(..).collect();
-        inner.in_flight = fps.clone();
-        fps.iter()
-            .map(|&fp| (fp, inner.jobs[&fp].spec.clone()))
-            .collect()
-    };
+/// Why a lock or wait on the state mutex can fail: a thread panicked
+/// while holding it, which is a bug in the daemon.
+const POISONED: &str = "a panic poisoned the daemon state lock";
 
-    let cap = shared.config.cap;
-    run_ordered(
-        batch.len(),
-        shared.config.jobs,
-        None,
-        |worker, i| {
-            let (fp, spec) = &batch[i];
-            // Journal the lease before the job runs: a crash now
-            // replays as an orphaned lease, which is what it is.
-            {
-                let mut inner = shared.inner.lock().unwrap();
-                let _ = inner.journal.append(&JobRecord::Lease {
-                    fp: *fp,
-                    worker,
-                    attempt: 1,
-                });
-                if let Some(job) = inner.jobs.get_mut(fp) {
-                    job.state = JobState::Running;
-                }
-            }
-            run_job(spec, &cap)
-        },
-        |i, outcome| {
-            let outcome =
-                outcome.unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p))));
-            commit_outcome(shared, batch[i].0, outcome);
-        },
-    );
+/// Why joining a worker cannot fail: [`work_or_abort`] never unwinds.
+const WORKERS_ABORT: &str = "a worker aborts the process instead of unwinding";
 
-    let mut inner = shared.inner.lock().unwrap();
-    inner.in_flight.clear();
-    shared.cond.notify_all();
-    false
+/// Runs [`work`], aborting the process if it panics. Every job runs
+/// under its own `catch_unwind`, so a panic that reaches here is a bug
+/// in the daemon, likely with the state lock poisoned; dying the way
+/// `kill -9` kills the daemon lets journal replay recover it.
+fn work_or_abort(shared: &Shared, worker: usize) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(shared, worker))) {
+        eprintln!(
+            "[alertd] worker {worker} panicked outside a job ({}); aborting",
+            panic_message(payload)
+        );
+        std::process::abort();
+    }
 }
 
-/// Commits one job's outcome: store promotion first (idempotent by
-/// content), then the journal record, then the in-memory state. All
-/// errors fold into a `failed` state instead of panicking — the
-/// supervisor is for bugs, not for `io::Error`.
-fn commit_outcome(shared: &Shared, fp: u64, outcome: Result<crate::spec::Artifacts, String>) {
+/// One worker: pops a pending job, runs it outside the lock, commits
+/// its outcome. Returns once the daemon drains with nothing pending.
+fn work(shared: &Shared, worker: usize) {
+    let cap = shared.config.cap;
+    loop {
+        let (fp, spec) = {
+            let mut inner = shared.inner.lock().expect(POISONED);
+            let fp = loop {
+                if inner.shutdown {
+                    return;
+                }
+                if let Some(fp) = inner.pending.pop_front() {
+                    break fp;
+                }
+                if inner.draining {
+                    return;
+                }
+                inner = shared.cond.wait(inner).expect(POISONED);
+            };
+            // Journal the lease before the job runs: a crash now
+            // replays as an orphaned lease, which is what it is.
+            let _ = inner.journal.append(&JobRecord::Lease {
+                fp,
+                worker,
+                attempt: 1,
+            });
+            let job = inner.jobs.get_mut(&fp).expect("a pending job has an entry");
+            job.state = JobState::Running;
+            (fp, job.spec.clone())
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_job(&spec, &cap)))
+            .unwrap_or_else(|p| Err(format!("panicked: {}", panic_message(p))));
+        // Promotion needs no lock: a fingerprint is never pending or
+        // running twice (submit answers `cached`, and rollback refuses
+        // a job that is not done), so no one else writes its results.
+        let promoted = outcome.and_then(|artifacts| {
+            shared
+                .store
+                .promote(fp, &artifacts)
+                .map_err(|e| format!("result promotion failed: {e}"))
+        });
+        commit_outcome(shared, fp, promoted);
+    }
+}
+
+/// Commits one job's promoted outcome: the journal record, then the
+/// in-memory state. Journal errors are best-effort here (DESIGN § 14).
+fn commit_outcome(shared: &Shared, fp: u64, promoted: Result<u32, String>) {
     let mut inner = shared.inner.lock().unwrap();
-    let promoted = outcome.and_then(|artifacts| {
-        shared
-            .store
-            .promote(fp, &artifacts)
-            .map_err(|e| format!("result promotion failed: {e}"))
-    });
     let state = match promoted {
         Ok(version) => {
             inner.pool.completed += 1;
@@ -443,37 +442,6 @@ fn commit_outcome(shared: &Shared, fp: u64, outcome: Result<crate::spec::Artifac
     if let Some(job) = inner.jobs.get_mut(&fp) {
         job.state = state;
     }
-    inner.crash_counts.remove(&fp);
-    inner.in_flight.retain(|&f| f != fp);
-    shared.cond.notify_all();
-}
-
-/// Supervisor callback: blame the panic on whatever was in flight.
-/// First offence re-queues the job; a second kills-the-dispatcher
-/// offence quarantines it.
-fn on_dispatcher_panic(shared: &Shared, msg: &str) {
-    let mut inner = shared.inner.lock().unwrap();
-    inner.worker_restarts += 1;
-    let blamed: Vec<u64> = std::mem::take(&mut inner.in_flight);
-    for fp in blamed {
-        let strikes = inner.crash_counts.entry(fp).or_insert(0);
-        *strikes += 1;
-        let state = if *strikes >= 2 {
-            let error = format!("quarantined: killed the dispatcher twice (last: {msg})");
-            let _ = inner.journal.append(&JobRecord::Quarantined {
-                fp,
-                error: error.clone(),
-            });
-            JobState::Quarantined { error }
-        } else {
-            inner.pending.push_back(fp);
-            JobState::Pending
-        };
-        if let Some(job) = inner.jobs.get_mut(&fp) {
-            job.state = state;
-        }
-    }
-    println!("[alertd] dispatcher panicked ({msg}); restarting");
     shared.cond.notify_all();
 }
 
@@ -814,10 +782,6 @@ fn handle_health(shared: &Shared) -> Response {
     }
     counters.insert("daemon.journal_lag".into(), lag);
     counters.insert("daemon.requests".into(), inner.requests);
-    counters.insert(
-        "daemon.worker_restarts".into(),
-        u64::from(inner.worker_restarts),
-    );
     counters.insert("pool.committed".into(), inner.pool.completed);
     counters.insert("pool.failed".into(), inner.pool.failed);
     if inner.series.samples.last().is_none_or(|s| uptime > s.t) {
@@ -849,8 +813,7 @@ fn handle_health(shared: &Shared) -> Response {
             by_state.get(state).copied().unwrap_or(0),
         );
     }
-    resp.with_num("worker_restarts", inner.worker_restarts)
-        .with_num("requests", inner.requests)
+    resp.with_num("requests", inner.requests)
         .with_num("pool_committed", inner.pool.completed)
         .with_num("pool_failed", inner.pool.failed)
 }
@@ -860,7 +823,7 @@ fn handle_drain(shared: &Shared) -> Response {
     inner.draining = true;
     shared.cond.notify_all();
     // Admission is closed; wait for every admitted job to settle. The
-    // dispatcher sees `draining` and exits once the queue is empty.
+    // workers see `draining` and exit once the queue is empty.
     while Shared::outstanding(&inner) > 0 {
         inner = shared.cond.wait(inner).unwrap();
     }
@@ -1321,6 +1284,60 @@ mod tests {
 
         let stats = daemon.drain_on(&mut client);
         assert_eq!((stats.completed, stats.failed), (1, 1));
+    }
+
+    /// A job submitted while a longer one runs does not wait for it: with
+    /// two workers the quick job reaches `done` while the long job still
+    /// reads `running`.
+    #[test]
+    fn a_job_submitted_mid_run_does_not_wait_for_a_longer_job() {
+        let daemon = Daemon::start_with(ServerConfig {
+            dir: scratch("mid_run"),
+            jobs: 2,
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(&daemon.dir);
+        let long = JobSpec {
+            nodes: 500,
+            pairs: 8,
+            duration_s: 300.0,
+            ..quick_spec(31)
+        };
+        let long_fp = long.fingerprint();
+        client.roundtrip(&Request::Submit {
+            spec: long,
+            force: false,
+        });
+        let status = |client: &mut Client, fp| {
+            let resp = client.roundtrip(&Request::Status { job: fp });
+            resp.str_field("state").map(str::to_owned)
+        };
+        let wait_while = |client: &mut Client, fp, state: &str| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while status(client, fp).as_deref() == Some(state) {
+                assert!(Instant::now() < deadline, "job {fp:016x} stuck {state}");
+                thread::sleep(Duration::from_millis(2));
+            }
+        };
+        wait_while(&mut client, long_fp, "pending");
+
+        let quick = quick_spec(32);
+        let quick_fp = quick.fingerprint();
+        client.roundtrip(&Request::Submit {
+            spec: quick,
+            force: false,
+        });
+        wait_while(&mut client, quick_fp, "pending");
+        wait_while(&mut client, quick_fp, "running");
+        assert_eq!(status(&mut client, quick_fp).as_deref(), Some("done"));
+        assert_eq!(
+            status(&mut client, long_fp).as_deref(),
+            Some("running"),
+            "the long job is still running"
+        );
+
+        let stats = daemon.drain_on(&mut client);
+        assert_eq!((stats.completed, stats.failed), (2, 0));
     }
 
     /// Drain wakes the blocked accept loop on every kind of bind, with

@@ -73,15 +73,17 @@ fn drain(bin: &Path, dir: &Path) {
     assert!(stdout.contains("\"drained\":1"), "drain reply: {stdout}");
 }
 
+/// A job long enough that two of them are still running when the
+/// crash drill sees both leases (about 2 s each in a debug build).
 fn submit_args(seed: &str) -> Vec<&str> {
     vec![
         "submit",
         "--nodes",
-        "50",
+        "600",
         "--pairs",
-        "2",
+        "8",
         "--duration",
-        "12",
+        "300",
         "--seed",
         seed,
         "--trace",
@@ -125,10 +127,10 @@ fn count_journal(dir: &Path, rec: &str) -> usize {
 }
 
 /// The tentpole drill: run a three-job campaign uninterrupted in one
-/// directory; run the same campaign in another directory but `kill -9`
-/// the daemon once a lease is journaled, restart, drain — and require
-/// the two `results/` trees to be byte-identical (modulo CURRENT, which
-/// both must agree on anyway).
+/// directory; run the same campaign in another directory on two
+/// workers but `kill -9` the daemon while two leased jobs are still
+/// running, restart, drain — and require the two `results/` trees to
+/// be byte-identical (modulo CURRENT, which both must agree on anyway).
 #[test]
 fn kill_nine_mid_campaign_recovers_byte_identical_results() {
     let (daemon, ctl_bin) = (alertd_bin(), alertctl_bin());
@@ -153,7 +155,7 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
 
     // --- Crash drill: kill -9 once execution has started. ------------
     let crash_dir = scratch_dir("crash");
-    let mut d = spawn_daemon(&daemon, &crash_dir, &["--jobs", "1"]);
+    let mut d = spawn_daemon(&daemon, &crash_dir, &["--jobs", "2"]);
     wait_for_endpoint(&crash_dir);
     for seed in &seeds {
         let out = ctl(&ctl_bin, &crash_dir, &submit_args(seed));
@@ -163,13 +165,18 @@ fn kill_nine_mid_campaign_recovers_byte_identical_results() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // Wait until the journal shows at least one lease (a job is
-    // actually executing), then SIGKILL with no warning whatsoever.
+    // Wait until the journal shows two leases while fewer than two jobs
+    // are done (two jobs execute at once), then SIGKILL with no warning
+    // whatsoever.
     let deadline = Instant::now() + Duration::from_secs(120);
-    while count_journal(&crash_dir, "lease") == 0 {
-        assert!(Instant::now() < deadline, "no lease ever journaled");
+    while count_journal(&crash_dir, "lease") < 2 {
+        assert!(Instant::now() < deadline, "two leases never journaled");
         std::thread::sleep(Duration::from_millis(20));
     }
+    assert!(
+        count_journal(&crash_dir, "done") < 2,
+        "the jobs finished before the kill; they are too short for the drill"
+    );
     d.kill().expect("kill -9 the daemon");
     d.wait().expect("reap");
 

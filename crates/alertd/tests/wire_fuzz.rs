@@ -5,7 +5,8 @@
 //! followed by EOF. Every bad line must get a typed `bad_request`, an
 //! over-long line its `bad_request` and then the close, and every valid
 //! request its normal answer on the same connection. Afterwards the
-//! daemon must report no worker restarts and drain cleanly.
+//! daemon must hold no jobs and drain cleanly. A worker that panics
+//! outside a job aborts the process, so such a bug fails the test run.
 //!
 //! A failing case prints its seed; replay it with
 //! `alert_rng::check(1, seed, ..)`.
@@ -248,15 +249,12 @@ fn bad_lines_get_typed_errors_and_the_daemon_stays_healthy() {
     let health = Request::Health.to_jsonl() + "\n";
     conn.send(health.as_bytes());
     let resp = conn.read_response(&health);
-    assert_eq!(resp.num_field("worker_restarts"), Some("0"), "{resp:?}");
     assert_eq!(resp.num_field("jobs"), Some("0"), "{resp:?}");
     let drain = Request::Drain.to_jsonl() + "\n";
     conn.send(drain.as_bytes());
     let resp = conn.read_response(&drain);
     assert_eq!(resp.num_field("drained"), Some("1"), "{resp:?}");
-    let stats = done
-        .recv_timeout(Duration::from_secs(10))
+    done.recv_timeout(Duration::from_secs(10))
         .expect("serve returns after the drain");
-    assert_eq!(stats.worker_restarts, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

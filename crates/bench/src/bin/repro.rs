@@ -55,9 +55,9 @@ use alert_bench::figures::{
     analytic, anonymity, attacks, claims, faults, participants, performance, zone,
 };
 use alert_bench::{
-    drain_failures, fingerprint, panic_message, run_ordered, set_failure_scope, set_sweep_lanes,
-    sweep_point, write_atomic, DirLock, EntryStatus, FailureEntry, FailureSink, FigureTable,
-    Journal, LockError, ManifestEntry, ProtocolChoice,
+    drain_failures, fingerprint, panic_message, run_ordered, set_failure_scope, sweep_point,
+    write_atomic, DirLock, EntryStatus, FailureEntry, FailureSink, FigureTable, Journal, LockError,
+    ManifestEntry, ProtocolChoice,
 };
 use alert_sim::{MetricsTimeseries, RegistrySnapshot};
 use std::collections::BTreeMap;
@@ -178,12 +178,6 @@ fn real_main() -> i32 {
         units.push((t, fp));
     }
 
-    // Each worker's sweeps run on its share of the cores, and their
-    // lanes inherit the worker's failure scope, so concurrent sweeps
-    // quarantine into separate ledger partitions.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let lanes_per = (cores / jobs).max(1);
-
     println!("# ALERT reproduction — {runs} runs per data point\n");
     drain_failures(); // start the campaign with a clean ledger partition
 
@@ -198,8 +192,9 @@ fn real_main() -> i32 {
 
     let exec = |w: usize, i: usize| -> ExpOutput {
         let target = units[i].0;
+        // Sweep lanes inherit the worker's failure scope, so concurrent
+        // sweeps quarantine into separate ledger partitions.
         set_failure_scope(w + 1);
-        set_sweep_lanes(lanes_per);
         drop(drain_failures()); // leftovers of a unit that panicked here
         let start = Instant::now();
         // A panic in any sweep lane propagates out of `render` and is

@@ -29,8 +29,8 @@ pub use orchestrate::{
 pub use runner::{
     drain_failures, drain_failures_scoped, failure_scope, failures_total, guarded_run_once,
     mean_curve, panic_message, par_runs, progress_enabled, run_instrumented, run_ordered,
-    set_failure_scope, set_progress, set_sweep_lanes, sweep_metrics, sweep_point, try_run_once,
-    FailureRecord, Panic, PostmortemDump, ProtocolChoice, RunFailure, RunOptions, RunOutcome,
-    RunOutput, Stat, POSTMORTEM_RING_CAPACITY,
+    set_failure_scope, set_progress, sweep_metrics, sweep_point, try_run_once, FailureRecord,
+    Panic, PostmortemDump, ProtocolChoice, RunFailure, RunOptions, RunOutcome, RunOutput, Stat,
+    POSTMORTEM_RING_CAPACITY,
 };
 pub use table::FigureTable;

@@ -123,62 +123,38 @@ static FAILURES: Mutex<std::collections::BTreeMap<usize, Vec<FailureRecord>>> =
 /// [`drain_failures`]).
 static FAILURES_TOTAL: AtomicU64 = AtomicU64::new(0);
 
-/// What an executor worker's threads carry: the ledger partition
-/// [`quarantine`] writes to and the lane budget of [`par_runs`].
-#[derive(Clone, Copy)]
-struct WorkerScope {
-    failure: usize,
-    /// Sweep lanes; 0 means the machine's available parallelism.
-    lanes: usize,
-}
-
 thread_local! {
-    /// This thread's worker scope; lanes spawned by [`par_runs`]
-    /// inherit their caller's.
-    static SCOPE: Cell<WorkerScope> = const { Cell::new(WorkerScope { failure: 0, lanes: 0 }) };
+    /// The ledger partition this thread quarantines into; executor
+    /// workers, and so the lanes [`par_runs`] spawns, inherit their
+    /// caller's.
+    static FAILURE_SCOPE: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Binds this thread (and the sweep lanes it spawns) to a ledger
 /// partition. Scope 0 — the default on every thread — preserves the
 /// old process-global behavior for serial runs.
 pub fn set_failure_scope(scope: usize) {
-    SCOPE.with(|s| {
-        s.set(WorkerScope {
-            failure: scope,
-            ..s.get()
-        })
-    });
+    FAILURE_SCOPE.with(|s| s.set(scope));
 }
 
 /// The ledger partition this thread currently quarantines into.
 pub fn failure_scope() -> usize {
-    SCOPE.with(|s| s.get().failure)
-}
-
-/// Sets how many lanes [`par_runs`] on this thread may use: an
-/// executor worker's share of the cores. 0 restores the default, the machine's
-/// available parallelism.
-pub fn set_sweep_lanes(lanes: usize) {
-    SCOPE.with(|s| s.set(WorkerScope { lanes, ..s.get() }));
+    FAILURE_SCOPE.with(Cell::get)
 }
 
 /// Runs `f` over the run indices `0..runs` and returns the results in
 /// index order, so reductions over them do not depend on scheduling.
 ///
-/// A collecting call of [`run_ordered`]: the lanes inherit the
-/// caller's failure scope and lane budget ([`set_sweep_lanes`]); with a
-/// budget of one lane, or a single run, everything runs on the calling
-/// thread. A panic in any run propagates out of the call with its
-/// payload.
+/// A collecting call of [`run_ordered`] on one lane per available
+/// core: the lanes inherit the caller's failure scope, and a single
+/// run (or a single core) runs on the calling thread. A panic in any
+/// run propagates out of the call with its payload.
 pub fn par_runs<T, F>(runs: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    let lanes = match SCOPE.with(Cell::get).lanes {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
+    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = Vec::with_capacity(runs);
     run_ordered(
         runs,
@@ -202,7 +178,7 @@ pub type Panic = Box<dyn std::any::Any + Send>;
 /// one before it are done. Returns how many indices were committed.
 ///
 /// Workers pull indices from one shared counter and inherit the
-/// caller's failure scope and lane budget. Each worker checks
+/// caller's failure scope. Each worker checks
 /// `deadline` before it claims an index, so once it passes no new unit
 /// starts and the committed indices are the prefix `0..k`. Each unit
 /// runs once under `catch_unwind`: a panic is committed as `Err` with
@@ -232,7 +208,7 @@ where
         }
         return k;
     }
-    let scope = SCOPE.with(Cell::get);
+    let scope = failure_scope();
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {
@@ -240,7 +216,7 @@ where
             let tx = tx.clone();
             let (next, run, expired) = (&next, &run, &expired);
             s.spawn(move || {
-                SCOPE.with(|c| c.set(scope));
+                set_failure_scope(scope);
                 while !expired() {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     // A closed channel means the committer unwound.
@@ -1073,34 +1049,21 @@ mod tests {
     #[test]
     fn par_runs_orders_inherits_scope_and_propagates_panics() {
         let _guard = LEDGER_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Index order at any lane count, with deliberately uneven runs.
+        // Index order, with deliberately uneven runs.
         let expect: Vec<u64> = (0..23).map(|i| i * i).collect();
-        for lanes in [1, 2, 4] {
-            set_sweep_lanes(lanes);
-            let got = par_runs(23, |i| {
-                if i % 5 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(3));
-                }
-                i * i
-            });
-            assert_eq!(got, expect, "{lanes} lanes");
-        }
+        let got = par_runs(23, |i| {
+            if i % 5 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(3));
+            }
+            i * i
+        });
+        assert_eq!(got, expect);
 
-        // A budget of one lane runs every item on the calling thread.
-        set_sweep_lanes(1);
-        let me = std::thread::current().id();
-        assert!(par_runs(6, |_| std::thread::current().id())
-            .iter()
-            .all(|&id| id == me));
-
-        // Lanes quarantine into the caller's scope. Each of two lanes
-        // holds its item until the other arrives, so both really run.
+        // Lanes quarantine into the caller's scope. With more than one
+        // core every run is on a spawned lane, not the calling thread.
         drop(drain_failures_scoped(201));
         set_failure_scope(201);
-        set_sweep_lanes(2);
-        let both = std::sync::Barrier::new(2);
-        let ids = par_runs(2, |seed| {
-            both.wait();
+        let ids = par_runs(8, |seed| {
             quarantine(FailureRecord {
                 protocol: "lane".to_owned(),
                 nodes: 1,
@@ -1110,24 +1073,24 @@ mod tests {
             });
             std::thread::current().id()
         });
-        assert_ne!(ids[0], ids[1]);
         set_failure_scope(0);
-        assert_eq!(drain_failures_scoped(201).len(), 2);
+        let me = std::thread::current().id();
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+            assert!(ids.iter().all(|&id| id != me));
+        }
+        assert_eq!(drain_failures_scoped(201).len(), 8);
         assert!(drain_failures_scoped(0)
             .iter()
             .all(|r| r.protocol != "lane"));
 
-        // A panic on a spawned lane propagates out with its payload.
-        let caller = std::thread::current().id();
+        // A panic in a run propagates out with its payload.
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_runs(2, |_| {
-                both.wait();
-                if std::thread::current().id() != caller {
+            par_runs(4, |i| {
+                if i == 1 {
                     panic!("planted lane panic");
                 }
             })
         }));
-        set_sweep_lanes(0);
         let payload = caught.expect_err("the lane panic must propagate");
         assert_eq!(panic_message(payload), "planted lane panic");
     }
