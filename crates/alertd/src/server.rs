@@ -1286,6 +1286,36 @@ mod tests {
         assert_eq!((stats.completed, stats.failed), (1, 1));
     }
 
+    /// A traced job whose trace passes the limit fails with an error that
+    /// names it, and the daemon runs the next job to `done`.
+    #[test]
+    fn a_trace_over_the_limit_fails_its_job_and_the_next_still_completes() {
+        let daemon = Daemon::start(&scratch("trace_limit"));
+        let mut client = Client::connect(&daemon.dir);
+        let big = crate::spec::tests::over_limit_spec();
+        let fp = big.fingerprint();
+        client.roundtrip(&Request::Submit {
+            spec: big,
+            force: false,
+        });
+        let failed = wait_done(&mut client, fp);
+        assert_eq!(failed.str_field("state"), Some("failed"), "{failed:?}");
+        let error = failed.str_field("error").expect("error text");
+        assert!(error.contains("4 MiB trace limit"), "{error}");
+
+        let next = quick_spec(41);
+        let fp = next.fingerprint();
+        client.roundtrip(&Request::Submit {
+            spec: next,
+            force: false,
+        });
+        let done = wait_done(&mut client, fp);
+        assert_eq!(done.str_field("state"), Some("done"), "{done:?}");
+
+        let stats = daemon.drain_on(&mut client);
+        assert_eq!((stats.completed, stats.failed), (1, 1));
+    }
+
     /// A job submitted while a longer one runs does not wait for it: with
     /// two workers the quick job reaches `done` while the long job still
     /// reads `running`.

@@ -19,10 +19,12 @@
 
 use alert_bench::{fingerprint_with, run_instrumented, ProtocolChoice, RunOptions};
 use alert_core::AlertConfig;
-use alert_sim::{JsonlSink, RunBudget, ScenarioConfig, SharedBuf};
+use alert_sim::{JsonlSink, RunBudget, ScenarioConfig};
 use alert_trace::{push_str_escaped, Val};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
+use std::sync::{Arc, Mutex};
 
 /// Result artifacts of one job: file name → file contents, committed
 /// together in one atomic directory promotion.
@@ -256,17 +258,74 @@ pub fn parse_fp_hex(s: &str) -> Option<u64> {
     (s.len() == 16).then(|| u64::from_str_radix(s, 16).ok())?
 }
 
+/// Largest `trace.jsonl` one job may write: 256 MiB. A job's trace is
+/// held in memory until promotion, so without a limit one traced
+/// submission could grow the daemon without bound (a 1,000-node, 300 s
+/// traced ALERT job writes several GB). A job whose trace passes the
+/// limit frees what it buffered at once and fails with an error naming
+/// the limit; the daemon keeps serving. `daemon-mixed`'s largest traced
+/// jobs (ALERT, 60 nodes, 2 pairs, 10 s) write under 0.5 MB. This
+/// crate's unit tests run with a 4 MiB limit, so they can cross it
+/// quickly.
+pub const TRACE_LIMIT_BYTES: usize = if cfg!(test) { 4 << 20 } else { 256 << 20 };
+
+/// One job's trace buffer, shared with its sink: `None` once a write
+/// would have passed [`TRACE_LIMIT_BYTES`], after which every write
+/// fails (the sink latches the first error and stops encoding).
+#[derive(Clone)]
+struct CappedTrace(Arc<Mutex<Option<Vec<u8>>>>);
+
+impl CappedTrace {
+    fn new() -> CappedTrace {
+        CappedTrace(Arc::new(Mutex::new(Some(Vec::new()))))
+    }
+
+    /// Moves the buffered trace out (no copy), or names the limit it
+    /// passed.
+    fn take(&self) -> Result<String, String> {
+        let bytes = self.0.lock().expect("trace buffer poisoned").take();
+        let bytes = bytes.ok_or_else(|| {
+            format!(
+                "trace.jsonl passed the {} MiB trace limit",
+                TRACE_LIMIT_BYTES >> 20
+            )
+        })?;
+        String::from_utf8(bytes).map_err(|e| format!("trace is not UTF-8: {e}"))
+    }
+}
+
+impl io::Write for CappedTrace {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let mut held = self.0.lock().expect("trace buffer poisoned");
+        match held.as_mut() {
+            Some(bytes) if bytes.len() + buf.len() <= TRACE_LIMIT_BYTES => {
+                bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            _ => {
+                *held = None;
+                Err(io::Error::other("trace limit passed"))
+            }
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Executes one job under the daemon's budget cap and reduces it to its
 /// artifact map. Every artifact is a deterministic function of the spec:
 /// wall-clock quantities never appear (they live in the journal, which
-/// is provenance, not result).
+/// is provenance, not result). A traced job fails if its trace passes
+/// [`TRACE_LIMIT_BYTES`].
 pub fn run_job(spec: &JobSpec, cap: &RunBudget) -> Result<Artifacts, String> {
     let choice = spec
         .protocol_choice()
         .ok_or_else(|| format!("unknown protocol '{}'", spec.protocol))?;
     let scenario = spec.scenario(cap);
     scenario.validate().map_err(|e| e.to_string())?;
-    let trace_buf = SharedBuf::default();
+    let trace_buf = CappedTrace::new();
     let opts = RunOptions {
         trace: spec
             .trace
@@ -283,7 +342,7 @@ pub fn run_job(spec: &JobSpec, cap: &RunBudget) -> Result<Artifacts, String> {
         render_metrics_json(spec, &out.metrics, &out.profile, &out.registry),
     );
     if spec.trace {
-        artifacts.insert("trace.jsonl".to_owned(), trace_buf.contents());
+        artifacts.insert("trace.jsonl".to_owned(), trace_buf.take()?);
     }
     if spec.every_s.is_some() {
         let series = out.timeseries.as_ref().ok_or("timeseries not collected")?;
@@ -339,7 +398,7 @@ fn render_metrics_json(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -466,5 +525,36 @@ mod tests {
         };
         let err = run_job(&spec, &cap).expect_err("capped");
         assert!(err.contains("event budget"), "{err}");
+    }
+
+    #[test]
+    fn a_trace_past_the_limit_fails_the_job_and_frees_its_buffer() {
+        let mut trace = CappedTrace::new();
+        let chunk = vec![b'x'; TRACE_LIMIT_BYTES / 4];
+        for _ in 0..4 {
+            io::Write::write_all(&mut trace, &chunk).expect("under the limit");
+        }
+        assert!(io::Write::write_all(&mut trace, b"\n").is_err());
+        assert!(trace.0.lock().unwrap().is_none(), "buffer freed");
+        assert!(io::Write::write(&mut trace, b"x").is_err(), "stays failed");
+        assert_eq!(
+            trace.take().unwrap_err(),
+            "trace.jsonl passed the 4 MiB trace limit"
+        );
+
+        let err = run_job(&over_limit_spec(), &RunBudget::default()).expect_err("over the limit");
+        assert!(err.contains("4 MiB trace limit"), "{err}");
+    }
+
+    /// A traced job whose trace (about 9 MB) passes the test limit.
+    pub(crate) fn over_limit_spec() -> JobSpec {
+        JobSpec {
+            protocol: "alert".to_owned(),
+            nodes: 200,
+            pairs: 8,
+            duration_s: 10.0,
+            trace: true,
+            ..JobSpec::default()
+        }
     }
 }

@@ -263,10 +263,14 @@ impl Metrics {
     /// through [`DropReason::from`]); both produce the same stable string
     /// keys in [`Metrics::drops`].
     pub fn record_drop(&mut self, reason: impl Into<DropReason>) {
-        *self
-            .drops
-            .entry(reason.into().as_str().to_owned())
-            .or_insert(0) += 1;
+        // Owns a key only for a reason's first drop.
+        let reason = reason.into().as_str();
+        match self.drops.get_mut(reason) {
+            Some(n) => *n += 1,
+            None => {
+                self.drops.insert(reason.to_owned(), 1);
+            }
+        }
     }
 
     /// The number of drops recorded under `reason` (0 if none).

@@ -600,7 +600,7 @@ impl<M: Clone + std::fmt::Debug> WorldCore<M> {
         self.tracer.emit_with(|| TraceEvent::Drop {
             time,
             node: node.0 as u64,
-            reason: reason.as_str().to_owned(),
+            reason: reason.as_str().into(),
             packet: packet.map(|p| p.0),
         });
     }

@@ -11,6 +11,7 @@ use alert_sim::{
     World,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -190,7 +191,7 @@ fn profiled_steady_state_meets_the_unprofiled_bound() {
 }
 
 #[test]
-fn parallel_hello_sweep_allocates_per_lane_not_per_node() {
+fn hello_sweep_allocates_per_round_not_per_node() {
     let _serial = serial();
     // The hello sweep runs on one thread at every size, into packed
     // lists and scratch that keep their capacity, so at 4096 nodes the
@@ -249,7 +250,7 @@ fn beacon_allocs(traced: bool) -> (u64, u64) {
     cfg.traffic.pairs = 0;
     let mut w = World::new(cfg, 0xA110C, |_, _| Beacon);
     if traced {
-        w.set_trace_sink(Box::new(JsonlSink::new(std::io::sink())));
+        w.set_trace_sink(Box::new(JsonlSink::new(io::sink())));
     }
     w.run_until(40.0);
     let (frames, before) = (w.counter("tx.broadcast"), allocs());
@@ -280,9 +281,10 @@ fn traced_broadcasts_encode_without_allocating_per_event() {
     // The same load traced: about 100k `rx` lines, 12000 `tx` lines and
     // some 12000 distinct times over the measured 50 s. The sink reuses
     // one line buffer and its encoder keeps the last `t` and `at` texts
-    // inline, so tracing adds no allocations to a warmed world (none on
-    // the `write!` encoder before it either). An encoder that allocated
-    // per line, or per newly formatted time, would add at least 12000.
+    // in two strings it clears and refills, so tracing adds no
+    // allocations to a warmed world (none on the `write!` encoder before
+    // it either). An encoder that allocated per line, or per newly
+    // formatted time, would add at least 12000.
     let (_, plain) = beacon_allocs(false);
     let (frames, traced) = beacon_allocs(true);
     assert!(frames >= 12_000, "only {frames} broadcasts measured");
@@ -291,5 +293,73 @@ fn traced_broadcasts_encode_without_allocating_per_event() {
         "{traced} allocations traced against {plain} untraced over {frames} \
          broadcast frames in 50 simulated seconds; trace encoding is \
          allocating per event"
+    );
+}
+
+/// Unicasts a small frame to its first neighbor from a periodic timer,
+/// staggered by node id: on a lossy channel many of those frames are
+/// dropped, so the run is dominated by drop bookkeeping.
+struct Unicaster;
+
+impl ProtocolNode for Unicaster {
+    type Msg = u64;
+    fn name() -> &'static str {
+        "UNICASTER"
+    }
+    fn on_start(&mut self, api: &mut Api<'_, Self::Msg>) {
+        api.set_timer(0.001 * api.my_id().0 as f64, 0);
+    }
+    fn on_data_request(&mut self, _api: &mut Api<'_, Self::Msg>, _req: &DataRequest) {}
+    fn on_frame(&mut self, _api: &mut Api<'_, Self::Msg>, _frame: Frame<Self::Msg>) {}
+    fn on_timer(&mut self, api: &mut Api<'_, Self::Msg>, token: TimerToken) {
+        api.set_timer(0.5, token);
+        if let Some(to) = api.neighbors().first().map(|n| n.pseudonym) {
+            api.send_unicast(to, token, 64, TrafficClass::Control, None);
+        }
+    }
+}
+
+/// Drops recorded and allocations made while 120 unicasting nodes run
+/// from 40 s to 90 s on a channel losing 30% of unicasts, with or
+/// without a JSONL trace streaming into `io::sink()` from the start.
+fn lossy_unicast_allocs(traced: bool) -> (u64, u64) {
+    let mut cfg = ScenarioConfig::default()
+        .with_nodes(120)
+        .with_duration(100.0);
+    cfg.traffic.pairs = 0;
+    cfg.mac.loss_probability = 0.3;
+    let mut w = World::new(cfg, 0xA110C, |_, _| Unicaster);
+    if traced {
+        w.set_trace_sink(Box::new(JsonlSink::new(io::sink())));
+    }
+    w.run_until(40.0);
+    let (drops, before) = (w.counter("drops"), allocs());
+    w.run_until(90.0);
+    let during = allocs() - before;
+    (w.counter("drops") - drops, during)
+}
+
+#[test]
+fn traced_drops_allocate_nothing_per_event() {
+    let _serial = serial();
+    // 120 nodes unicasting twice a second put 12000 frames on a channel
+    // that loses 30% of them, so the measured 50 s trace thousands of
+    // `drop` lines. Their reason borrows `DropReason::as_str`, so a
+    // warmed traced run allocates no more than an untraced one; a
+    // reason owned per event would add one allocation per drop. The
+    // metrics drop map owns a key only for a reason's first drop, so the
+    // untraced run stays inside the steady-state bound too.
+    let (_, plain) = lossy_unicast_allocs(false);
+    let (drops, traced) = lossy_unicast_allocs(true);
+    assert!(drops >= 2_000, "only {drops} drops measured");
+    assert!(
+        plain < 500,
+        "{plain} allocations untraced over {drops} drops in 50 simulated \
+         seconds; drop bookkeeping is allocating per drop"
+    );
+    assert!(
+        traced <= plain + 32,
+        "{traced} allocations traced against {plain} untraced over {drops} \
+         drops in 50 simulated seconds; traced drops are allocating per event"
     );
 }

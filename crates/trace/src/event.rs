@@ -1,6 +1,7 @@
 //! The structured trace vocabulary: one enum variant per observable step
 //! of a simulation run, plus the shared typed drop-reason taxonomy.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Which periodic engine tick fired.
@@ -280,8 +281,11 @@ pub enum TraceEvent {
         time: f64,
         /// Node where the drop occurred (sender for channel drops).
         node: u64,
-        /// Canonical reason string (see [`DropReason`]).
-        reason: String,
+        /// Canonical reason string (see [`DropReason`]): borrowed from
+        /// [`DropReason::as_str`] when the simulator emits the event, so
+        /// building one allocates nothing; owned only when parsed back
+        /// from a trace.
+        reason: Cow<'static, str>,
         /// Application packet id, when known.
         packet: Option<u64>,
     },

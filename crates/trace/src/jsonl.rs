@@ -10,17 +10,22 @@
 //! Lines are tokenized by the workspace's one JSON codec
 //! ([`crate::json`]).
 //!
-//! Encoding goes through one [`JsonlEncoder`]. It writes each
-//! `,"key":` and the `"ev":"…"` tag as literal pieces, integers by a
-//! digit loop into a stack buffer, and floats through `{v:?}`. Its only
-//! state is the rendered text of the last `"t"` and the last `"at"`,
-//! each keyed on the float's bits: in a simulator trace nearly every
-//! line repeats the previous line's time, and a broadcast's receivers
-//! all repeat its send time, so those two floats are formatted once per
-//! change instead of once per line. The state changes how fast a line
-//! is written, never its bytes: [`TraceEvent::write_jsonl`] is a fresh
-//! encoder, and a stream through one encoder is the concatenation of
-//! per-event `write_jsonl` lines.
+//! Encoding goes through one [`JsonlEncoder`]. Each variant writes a few
+//! pre-joined literal pieces: the `"ev"` tag, every key, and every enum
+//! name are folded into the literal around them (`,"ev":"rx","node":`,
+//! `,"kind":"broadcast","bytes":`), so a line is a handful of
+//! `push_str` calls between its numbers. Integers go through a digit
+//! loop and are pushed as ASCII chars; floats through `{v:?}`; only the
+//! two free-text fields (the `drop` and `run_aborted` reasons) are
+//! escaped. The encoder's only state is the rendered text of the last
+//! `"t"` and the last `"at"`, each keyed on the float's bits and kept in
+//! a reused `String`: in a simulator trace nearly every line repeats the
+//! previous line's time, and a broadcast's receivers all repeat its send
+//! time, so those two floats are formatted once per change, and a hit
+//! is one `push_str` with no UTF-8 re-validation. The state changes how
+//! fast a line is written, never its bytes: [`TraceEvent::write_jsonl`]
+//! is a fresh encoder, and a stream through one encoder is the
+//! concatenation of per-event `write_jsonl` lines.
 
 use crate::event::{CryptoOp, TickKind, TraceEvent, TrafficKind, TxKind};
 use crate::json::{parse_object, push_str_escaped, Val};
@@ -40,7 +45,8 @@ pub fn push_f64(out: &mut String, v: f64) {
     let _ = write!(out, "{v:?}");
 }
 
-/// Appends `v` in decimal, by a digit loop into a stack buffer.
+/// Appends `v` in decimal: a digit loop into a stack buffer, pushed as
+/// ASCII chars.
 pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
@@ -52,14 +58,7 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
-}
-
-/// `,"key":` as one literal piece.
-macro_rules! key {
-    ($k:literal) => {
-        concat!(",\"", $k, "\":")
-    };
+    out.extend(buf[i..].iter().map(|&d| char::from(d)));
 }
 
 /// The text of the last float written through it, keyed on its bits:
@@ -68,38 +67,37 @@ macro_rules! key {
 #[derive(Debug, Default)]
 struct CachedF64 {
     bits: Option<u64>,
-    len: usize,
-    /// `{v:?}` of any `f64` is at most 24 bytes
-    /// (`-2.2250738585072014e-308`).
-    text: [u8; 24],
+    /// Cleared and refilled on a miss; it allocates once, since `{v:?}`
+    /// of any `f64` is at most 24 bytes (`-2.2250738585072014e-308`).
+    text: String,
 }
 
 impl CachedF64 {
     fn push(&mut self, out: &mut String, v: f64) {
         let bits = v.to_bits();
-        if self.bits == Some(bits) {
-            out.push_str(std::str::from_utf8(&self.text[..self.len]).expect("cached float text"));
-            return;
+        if self.bits != Some(bits) {
+            self.text.clear();
+            self.text.reserve(24);
+            push_f64(&mut self.text, v);
+            self.bits = Some(bits);
         }
-        let start = out.len();
-        push_f64(out, v);
-        let text = &out.as_bytes()[start..];
-        self.text[..text.len()].copy_from_slice(text);
-        self.len = text.len();
-        self.bits = Some(bits);
+        out.push_str(&self.text);
     }
 }
 
 /// The JSONL trace encoder.
 ///
-/// Encoding is a pure function of the event; the encoder only remembers
-/// the rendered text of the last `"t"` and the last `"at"` (an `rx`
-/// line's send time), and formats a float again only when its bits
-/// change. Most lines repeat both: events at one instant share `"t"`,
-/// and a broadcast's receivers are all traced at send time with one
-/// `"at"`. So one encoder per stream (as [`crate::JsonlSink`] keeps)
-/// writes exactly the bytes of [`TraceEvent::write_jsonl`] per line,
-/// only faster; a fresh encoder is what `write_jsonl` uses.
+/// Encoding is a pure function of the event. Each variant writes its
+/// line as a few pre-joined literal pieces, with the `"ev"` tag, the
+/// keys and any enum name folded in, between its numbers. The encoder
+/// only remembers the rendered text of the last `"t"` and the last
+/// `"at"` (an `rx` line's send time), and formats a float again only
+/// when its bits change; a hit pushes the kept text as is, with no
+/// re-validation. Most lines repeat both: events at one instant share
+/// `"t"`, and a broadcast's receivers are all traced at send time with
+/// one `"at"`. So one encoder per stream (as [`crate::JsonlSink`]
+/// keeps) writes exactly the bytes of [`TraceEvent::write_jsonl`] per
+/// line, only faster; a fresh encoder is what `write_jsonl` uses.
 #[derive(Debug, Default)]
 pub struct JsonlEncoder {
     t: CachedF64,
@@ -110,13 +108,14 @@ impl JsonlEncoder {
     /// Appends the canonical encoding of `event` (without the trailing
     /// newline) to `out`.
     pub fn encode(&mut self, event: &TraceEvent, out: &mut String) {
-        out.push_str("{\"t\":");
+        out.push_str(r#"{"t":"#);
         self.t.push(out, event.time());
-        out.push_str(",\"ev\":\"");
-        out.push_str(event.kind());
-        out.push('"');
         match event {
-            TraceEvent::Tick { kind, .. } => str_field(out, key!("kind"), kind.as_str()),
+            TraceEvent::Tick { kind, .. } => out.push_str(match kind {
+                TickKind::Mobility => r#","ev":"tick","kind":"mobility""#,
+                TickKind::Hello => r#","ev":"tick","kind":"hello""#,
+                TickKind::Location => r#","ev":"tick","kind":"location""#,
+            }),
             TraceEvent::AppSend {
                 packet,
                 session,
@@ -125,11 +124,11 @@ impl JsonlEncoder {
                 dst,
                 ..
             } => {
-                u64_field(out, key!("packet"), *packet);
-                u64_field(out, key!("session"), *session);
-                u64_field(out, key!("seq"), *seq);
-                u64_field(out, key!("src"), *src);
-                u64_field(out, key!("dst"), *dst);
+                u64_piece(out, r#","ev":"app_send","packet":"#, *packet);
+                u64_piece(out, r#","session":"#, *session);
+                u64_piece(out, r#","seq":"#, *seq);
+                u64_piece(out, r#","src":"#, *src);
+                u64_piece(out, r#","dst":"#, *dst);
             }
             TraceEvent::Tx {
                 node,
@@ -139,11 +138,19 @@ impl JsonlEncoder {
                 packet,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                str_field(out, key!("kind"), kind.as_str());
-                str_field(out, key!("class"), class.as_str());
-                u64_field(out, key!("bytes"), *bytes);
-                opt_u64_field(out, key!("packet"), *packet);
+                u64_piece(out, r#","ev":"tx","node":"#, *node);
+                out.push_str(match kind {
+                    TxKind::Unicast => r#","kind":"unicast","class":""#,
+                    TxKind::Broadcast => r#","kind":"broadcast","class":""#,
+                });
+                let class = match class {
+                    TrafficKind::Data => r#"data","bytes":"#,
+                    TrafficKind::Control => r#"control","bytes":"#,
+                    TrafficKind::ControlHop => r#"control_hop","bytes":"#,
+                    TrafficKind::Cover => r#"cover","bytes":"#,
+                };
+                u64_piece(out, class, *bytes);
+                opt_packet(out, *packet);
             }
             TraceEvent::Rx {
                 node,
@@ -152,10 +159,13 @@ impl JsonlEncoder {
                 at,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                str_field(out, key!("kind"), kind.as_str());
-                u64_field(out, key!("bytes"), *bytes);
-                out.push_str(key!("at"));
+                u64_piece(out, r#","ev":"rx","node":"#, *node);
+                let kind = match kind {
+                    TxKind::Unicast => r#","kind":"unicast","bytes":"#,
+                    TxKind::Broadcast => r#","kind":"broadcast","bytes":"#,
+                };
+                u64_piece(out, kind, *bytes);
+                out.push_str(r#","at":"#);
                 self.at.push(out, *at);
             }
             TraceEvent::Drop {
@@ -164,13 +174,14 @@ impl JsonlEncoder {
                 packet,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                str_field(out, key!("reason"), reason);
-                opt_u64_field(out, key!("packet"), *packet);
+                u64_piece(out, r#","ev":"drop","node":"#, *node);
+                out.push_str(r#","reason":"#);
+                push_str_escaped(out, reason);
+                opt_packet(out, *packet);
             }
             TraceEvent::TimerFire { node, token, .. } => {
-                u64_field(out, key!("node"), *node);
-                u64_field(out, key!("token"), *token);
+                u64_piece(out, r#","ev":"timer","node":"#, *node);
+                u64_piece(out, r#","token":"#, *token);
             }
             TraceEvent::LocationLookup {
                 node,
@@ -178,17 +189,27 @@ impl JsonlEncoder {
                 found,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                u64_field(out, key!("target"), *target);
-                bool_field(out, key!("found"), *found);
+                u64_piece(out, r#","ev":"loc_lookup","node":"#, *node);
+                u64_piece(out, r#","target":"#, *target);
+                out.push_str(if *found {
+                    r#","found":true"#
+                } else {
+                    r#","found":false"#
+                });
             }
             TraceEvent::CryptoCharge { node, op, n, .. } => {
-                u64_field(out, key!("node"), *node);
-                str_field(out, key!("op"), op.as_str());
-                u64_field(out, key!("n"), *n);
+                u64_piece(out, r#","ev":"crypto","node":"#, *node);
+                let op = match op {
+                    CryptoOp::Symmetric => r#","op":"symmetric","n":"#,
+                    CryptoOp::PkEncrypt => r#","op":"pk_encrypt","n":"#,
+                    CryptoOp::PkDecrypt => r#","op":"pk_decrypt","n":"#,
+                    CryptoOp::PkVerify => r#","op":"pk_verify","n":"#,
+                    CryptoOp::Hash => r#","op":"hash","n":"#,
+                };
+                u64_piece(out, op, *n);
             }
             TraceEvent::PseudonymRotation { node, .. } => {
-                u64_field(out, key!("node"), *node);
+                u64_piece(out, r#","ev":"pseudonym_rotation","node":"#, *node);
             }
             TraceEvent::ZonePartition {
                 node,
@@ -198,11 +219,11 @@ impl JsonlEncoder {
                 td_y,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                u64_field(out, key!("packet"), *packet);
-                u64_field(out, key!("splits"), *splits);
-                f64_field(out, key!("td_x"), *td_x);
-                f64_field(out, key!("td_y"), *td_y);
+                u64_piece(out, r#","ev":"zone_partition","node":"#, *node);
+                u64_piece(out, r#","packet":"#, *packet);
+                u64_piece(out, r#","splits":"#, *splits);
+                f64_piece(out, r#","td_x":"#, *td_x);
+                f64_piece(out, r#","td_y":"#, *td_y);
             }
             TraceEvent::ForwarderSelect {
                 node,
@@ -212,16 +233,23 @@ impl JsonlEncoder {
                 progress,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                opt_u64_field(out, key!("packet"), *packet);
-                f64_field(out, key!("target_x"), *target_x);
-                f64_field(out, key!("target_y"), *target_y);
-                bool_field(out, key!("progress"), *progress);
+                u64_piece(out, r#","ev":"forwarder_select","node":"#, *node);
+                opt_packet(out, *packet);
+                f64_piece(out, r#","target_x":"#, *target_x);
+                f64_piece(out, r#","target_y":"#, *target_y);
+                out.push_str(if *progress {
+                    r#","progress":true"#
+                } else {
+                    r#","progress":false"#
+                });
             }
-            TraceEvent::Hop { node, packet, .. }
-            | TraceEvent::RandomForwarder { node, packet, .. } => {
-                u64_field(out, key!("node"), *node);
-                u64_field(out, key!("packet"), *packet);
+            TraceEvent::Hop { node, packet, .. } => {
+                u64_piece(out, r#","ev":"hop","node":"#, *node);
+                u64_piece(out, r#","packet":"#, *packet);
+            }
+            TraceEvent::RandomForwarder { node, packet, .. } => {
+                u64_piece(out, r#","ev":"rf","node":"#, *node);
+                u64_piece(out, r#","packet":"#, *packet);
             }
             TraceEvent::Delivered {
                 node,
@@ -229,12 +257,15 @@ impl JsonlEncoder {
                 latency,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                u64_field(out, key!("packet"), *packet);
-                f64_field(out, key!("latency"), *latency);
+                u64_piece(out, r#","ev":"delivered","node":"#, *node);
+                u64_piece(out, r#","packet":"#, *packet);
+                f64_piece(out, r#","latency":"#, *latency);
             }
-            TraceEvent::NodeDown { node, .. } | TraceEvent::NodeUp { node, .. } => {
-                u64_field(out, key!("node"), *node);
+            TraceEvent::NodeDown { node, .. } => {
+                u64_piece(out, r#","ev":"node_down","node":"#, *node);
+            }
+            TraceEvent::NodeUp { node, .. } => {
+                u64_piece(out, r#","ev":"node_up","node":"#, *node);
             }
             TraceEvent::LinkRetry {
                 node,
@@ -242,45 +273,37 @@ impl JsonlEncoder {
                 attempt,
                 ..
             } => {
-                u64_field(out, key!("node"), *node);
-                opt_u64_field(out, key!("packet"), *packet);
-                u64_field(out, key!("attempt"), *attempt);
+                u64_piece(out, r#","ev":"link_retry","node":"#, *node);
+                opt_packet(out, *packet);
+                u64_piece(out, r#","attempt":"#, *attempt);
             }
             TraceEvent::RunAborted { reason, events, .. } => {
-                str_field(out, key!("reason"), reason);
-                u64_field(out, key!("events"), *events);
+                out.push_str(r#","ev":"run_aborted","reason":"#);
+                push_str_escaped(out, reason);
+                u64_piece(out, r#","events":"#, *events);
             }
         }
         out.push('}');
     }
 }
 
-// Each `key` is a whole `,"name":` piece, as built by `key!`.
+// Each `piece` is literal text ending in a key's `":`.
 
-fn u64_field(out: &mut String, key: &str, v: u64) {
-    out.push_str(key);
+fn u64_piece(out: &mut String, piece: &str, v: u64) {
+    out.push_str(piece);
     push_u64(out, v);
 }
 
-fn opt_u64_field(out: &mut String, key: &str, v: Option<u64>) {
-    if let Some(v) = v {
-        u64_field(out, key, v);
-    }
-}
-
-fn f64_field(out: &mut String, key: &str, v: f64) {
-    out.push_str(key);
+fn f64_piece(out: &mut String, piece: &str, v: f64) {
+    out.push_str(piece);
     push_f64(out, v);
 }
 
-fn str_field(out: &mut String, key: &str, v: &str) {
-    out.push_str(key);
-    push_str_escaped(out, v);
-}
-
-fn bool_field(out: &mut String, key: &str, v: bool) {
-    out.push_str(key);
-    out.push_str(if v { "true" } else { "false" });
+/// An optional `"packet"` field: absent, not `null`, when `None`.
+fn opt_packet(out: &mut String, packet: Option<u64>) {
+    if let Some(p) = packet {
+        u64_piece(out, r#","packet":"#, p);
+    }
 }
 
 impl TraceEvent {
@@ -443,7 +466,7 @@ fn parse_line(line: &str, lno: usize) -> Result<TraceEvent, ParseError> {
         "drop" => TraceEvent::Drop {
             time,
             node: f.u64("node")?,
-            reason: f.str("reason")?.to_owned(),
+            reason: f.str("reason")?.to_owned().into(),
             packet: f.opt_u64("packet")?,
         },
         "timer" => TraceEvent::TimerFire {
@@ -569,7 +592,7 @@ mod tests {
             TraceEvent::Drop {
                 time: 2.0,
                 node: 4,
-                reason: DropReason::UnicastOutOfRange.as_str().to_owned(),
+                reason: DropReason::UnicastOutOfRange.as_str().into(),
                 packet: Some(0),
             },
             TraceEvent::TimerFire {
@@ -696,7 +719,7 @@ mod tests {
         let e = TraceEvent::Drop {
             time: 0.0,
             node: 0,
-            reason: "weird \"reason\"\nwith\tescapes\\".to_owned(),
+            reason: "weird \"reason\"\nwith\tescapes\\".into(),
             packet: None,
         };
         let line = e.to_jsonl();

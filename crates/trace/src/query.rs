@@ -150,7 +150,7 @@ pub fn window_aggregates(events: &[TraceEvent], every_s: f64) -> Vec<WindowAggre
             TraceEvent::Tx { bytes, .. } => w.tx_bytes += bytes,
             TraceEvent::Rx { bytes, .. } => w.rx_bytes += bytes,
             TraceEvent::Drop { reason, .. } => {
-                *w.drops.entry(reason.clone()).or_insert(0) += 1;
+                *w.drops.entry(reason.to_string()).or_insert(0) += 1;
             }
             TraceEvent::Delivered { latency, .. } => {
                 w.delivered += 1;
@@ -295,7 +295,7 @@ mod tests {
             TraceEvent::Drop {
                 time: 5.5,
                 node: 5,
-                reason: "unicast_channel_loss".to_owned(),
+                reason: "unicast_channel_loss".into(),
                 packet: Some(1),
             },
             TraceEvent::Delivered {

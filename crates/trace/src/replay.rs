@@ -109,7 +109,7 @@ pub fn reconstruct_packets(events: &[TraceEvent]) -> BTreeMap<u64, PacketTrace> 
                     .entry(*packet)
                     .or_default()
                     .drops
-                    .push(reason.clone());
+                    .push(reason.to_string());
             }
             TraceEvent::LinkRetry {
                 packet: Some(packet),
@@ -164,7 +164,7 @@ pub fn trace_stats(events: &[TraceEvent]) -> TraceStats {
                 delivered.insert(*packet);
             }
             TraceEvent::Drop { reason, .. } => {
-                *s.drops_by_reason.entry(reason.clone()).or_insert(0) += 1;
+                *s.drops_by_reason.entry(reason.to_string()).or_insert(0) += 1;
             }
             TraceEvent::TimerFire { .. } => s.timer_fires += 1,
             TraceEvent::PseudonymRotation { .. } => s.pseudonym_rotations += 1,
@@ -373,13 +373,13 @@ mod tests {
             TraceEvent::Drop {
                 time: 1.6,
                 node: 4,
-                reason: "leg_ttl_exhausted".to_owned(),
+                reason: "leg_ttl_exhausted".into(),
                 packet: Some(1),
             },
             TraceEvent::Drop {
                 time: 1.7,
                 node: 7,
-                reason: "unicast_channel_loss".to_owned(),
+                reason: "unicast_channel_loss".into(),
                 packet: None,
             },
             TraceEvent::LinkRetry {
